@@ -33,16 +33,6 @@ class TestClass(enum.Enum):
 
     ALL = "ALL"
     PPT = "PPT"
-    LC1 = "LC1"
-    L = "L"
-
-    @property
-    def computable(self) -> bool:
-        return self in (TestClass.ALL, TestClass.PPT)
-
-
-class UncomputableClassError(ValueError):
-    """Raised when a bound is requested for a test class with no known program."""
 
 
 class SolverFailure(RuntimeError):
@@ -92,8 +82,6 @@ def _ref_state(rho: DensityMatrix) -> np.ndarray:
 def _require_class(cls: TestClass) -> None:
     if not isinstance(cls, TestClass):
         raise TypeError(f"expected a TestClass, got {cls!r}")
-    if not cls.computable:
-        raise UncomputableClassError(f"test class {cls.value} has no computable program")
 
 
 def _solve(problem: sdp.SdpProblem) -> sdp.SdpSolution:

@@ -5,10 +5,11 @@ commands emit rows with the columns
 
     n,epsilon,test_class,beta,bound_bits,rate_bits_per_use,wall_ms
 
-sorted by (n, epsilon). Numbers are serialized with 12 significant digits
-and no locale dependence, so identical configurations produce identical
-output bytes. The wall_ms column is 0 unless --timing is passed (measured
-times would break byte-for-byte reproducibility).
+sorted by (n, epsilon). Grid points are evaluated one at a time; BLAS
+threading inside a point is left to numpy. Numbers are serialized with 12
+significant digits and no locale dependence, so identical configurations
+produce identical output bytes. The wall_ms column is 0 unless --timing is
+passed (measured times would break byte-for-byte reproducibility).
 
 Exit codes: 0 success, 2 validation error, 3 solver failure.
 """
@@ -17,16 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from . import bounds, linalg, quantum
+from . import bounds, quantum
 from .bounds import SolverFailure, TestClass
 
 CSV_HEADER = "n,epsilon,test_class,beta,bound_bits,rate_bits_per_use,wall_ms"
@@ -49,8 +48,9 @@ def _parse_complex_entry(entry) -> complex:
 
 
 def _parse_matrix(data, rows: int, cols: int) -> np.ndarray:
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise ValueError(f"matrix data must be {rows}x{cols}")
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in data)):
+        raise ValueError(f"matrix data must be a {rows}x{cols} list of rows")
     return np.array([[_parse_complex_entry(e) for e in row] for row in data])
 
 
@@ -66,6 +66,8 @@ def parse_channel(spec: dict) -> quantum.QuantumChannel:
     if dim_in < 1 or dim_out < 1:
         raise ValueError("channel dimensions must be positive")
     if rep == "kraus":
+        if not isinstance(data, list):
+            raise ValueError("kraus data must be a list of matrices")
         kraus = [_parse_matrix(m, dim_out, dim_in) for m in data]
         return quantum.QuantumChannel(kraus, atol=1e-8)
     if rep == "choi":
@@ -165,29 +167,14 @@ def emit_rows(rows: list[Row], path: str, form: str) -> None:
             fh.write(text)
 
 
-def _thread_count(args) -> int:
-    env = os.environ.get("QCONV_THREADS")
-    if env:
-        return max(1, int(env))
-    if args.threads:
-        return max(1, int(args.threads))
-    return os.cpu_count() or 1
-
-
 def _grid(args, work, points) -> list[Row]:
-    timing = bool(args.timing)
-
-    def run_point(point):
+    rows = []
+    for point in points:
         start = time.perf_counter()
         row = work(point)
-        row.wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        return row
-
-    threads = _thread_count(args)
-    if threads == 1:
-        return [run_point(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_point, points))
+        row.wall_ms = (time.perf_counter() - start) * 1e3 if args.timing else 0.0
+        rows.append(row)
+    return rows
 
 
 def cmd_depol(args) -> int:
@@ -289,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--out", default="-", help="output path, or - for stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads (env QCONV_THREADS overrides)")
         sp.add_argument("--timing", action="store_true",
                         help="record measured wall_ms (breaks byte determinism)")
 

@@ -18,6 +18,9 @@ from .. import linalg
 from .problem import SdpProblem, SdpSolution
 
 STEP_FRACTION = 0.98
+TOL_GAP = 1e-8  # relative duality gap at which a solve is optimal
+TOL_FEAS = 1e-8  # scaled primal and dual residual at which a solve is optimal
+MAX_ITER = 200
 _CHUNK = 1 << 22  # complex entries per Schur-assembly slab
 
 
@@ -130,8 +133,7 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def solve(problem: SdpProblem, tol_gap: float = 1e-8, tol_feas: float = 1e-8,
-          max_iter: int = 200, verbose: bool = False) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the SDP; see module docstring for the algorithm.
 
     Status is "optimal" when the relative duality gap and scaled
@@ -165,7 +167,7 @@ def solve(problem: SdpProblem, tol_gap: float = 1e-8, tol_feas: float = 1e-8,
 
     status = "iteration-limit"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         pobj = sum(_inner(c, x) for c, x in zip(sf.C, X))
         dobj = float(sf.b @ y)
         rp = sf.b - sf.apply(X)
@@ -175,10 +177,7 @@ def solve(problem: SdpProblem, tol_gap: float = 1e-8, tol_feas: float = 1e-8,
         pres = float(np.linalg.norm(rp)) / b_scale
         dres = np.sqrt(sum(float(np.linalg.norm(r)) ** 2 for r in Rd)) / c_scale
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if verbose:
-            print(f"  it={it:3d} pobj={pobj:+.9e} dobj={dobj:+.9e} "
-                  f"gap={rel_gap:.2e} pres={pres:.2e} dres={dres:.2e} mu={mu:.2e}")
-        if pres <= tol_feas and dres <= tol_feas and rel_gap <= tol_gap:
+        if pres <= TOL_FEAS and dres <= TOL_FEAS and rel_gap <= TOL_GAP:
             status = "optimal"
             break
         # divergence heuristics for infeasible problems
@@ -245,7 +244,7 @@ def solve(problem: SdpProblem, tol_gap: float = 1e-8, tol_feas: float = 1e-8,
     rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     if status not in ("primal-infeasible", "dual-infeasible"):
         # accept a mildly degraded but contract-satisfying endpoint
-        if pres <= tol_feas and dres <= 10 * tol_feas and rel_gap <= 1e-7:
+        if pres <= TOL_FEAS and dres <= 10 * TOL_FEAS and rel_gap <= 1e-7:
             status = "optimal"
     return SdpSolution(
         primal_blocks=[X[k] for k in range(sf.n_orig)],

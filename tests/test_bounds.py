@@ -6,11 +6,10 @@ from conftest import (rand_channel, rand_classical_channel, rand_povm, rand_stat
                       rand_unitary)
 from oracles import identity_opt_input_bound
 from qconv import bounds, linalg, quantum, sdp
-from qconv.bounds import (TestClass, UncomputableClassError, average_state,
-                          binary_entropy, binary_relative_entropy, classical_converse,
-                          depolarising_exact, ea_bound, ea_bound_dual, ea_bound_opt_rho,
-                          fano_bound, noisy_storage_minentropy, verify_covariance,
-                          wang_renner_chi)
+from qconv.bounds import (TestClass, average_state, binary_entropy,
+                          binary_relative_entropy, classical_converse, depolarising_exact,
+                          ea_bound, ea_bound_dual, ea_bound_opt_rho, fano_bound,
+                          noisy_storage_minentropy, verify_covariance, wang_renner_chi)
 from qconv.hypotest import classical_np_beta, quantum_np_beta
 from qconv.quantum import (Code, DensityMatrix, apply_channel, apply_channel_second,
                            canonical_purification, constant_channel,
@@ -44,10 +43,9 @@ class TestEaBound:
         res = ea_bound(_constant(rng), MU2, 0.5, TestClass.ALL)
         assert res.bits == pytest.approx(1.0, abs=1e-7)
 
-    def test_uncomputable_classes(self):
-        for cls in (TestClass.L, TestClass.LC1):
-            with pytest.raises(UncomputableClassError):
-                ea_bound(DEPOL, MU2, 0.05, cls)
+    def test_class_must_be_a_test_class(self):
+        with pytest.raises(TypeError):
+            ea_bound(DEPOL, MU2, 0.05, "PPT")
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

@@ -89,21 +89,18 @@ class TestDepolCommand:
             keys.append((int(fields[0]), float(fields[1])))
         assert keys == sorted(keys)
 
-    def test_byte_determinism(self, tmp_path):
-        args = ["depol", "--d", "2", "--p", "0.15", "--eps", "1e-2,1e-4",
-                "--n", "1..20"]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(args + ["--out", str(out1)]) == 0
-        assert cli.main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        args = ["depol", "--d", "2", "--p", "0.15", "--eps", "1e-2", "--n", "1..10"]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("QCONV_THREADS", "1")
-        assert cli.main(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("QCONV_THREADS", "4")
-        assert cli.main(args + ["--out", str(out2)]) == 0
+    @pytest.mark.parametrize("command,form", [("depol", "csv"), ("depol", "json"),
+                                              ("bound", "csv"), ("bound", "json")])
+    def test_byte_determinism(self, tmp_path, command, form):
+        if command == "depol":
+            args = ["depol", "--d", "2", "--p", "0.15", "--eps", "1e-2,1e-4",
+                    "--n", "1..20"]
+        else:
+            args = ["bound", "--channel", str(_write_depol_choi(tmp_path / "depol.json")),
+                    "--eps", "0.05,0.25", "--n", "1,2"]
+        out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
+        assert cli.main(args + ["--format", form, "--out", str(out1)]) == 0
+        assert cli.main(args + ["--format", form, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_reparsed_values_match_in_memory(self, tmp_path):
@@ -229,6 +226,13 @@ class TestExitCodes:
                          "--eps", "0.05"]) == 2
         assert cli.main(["depol", "--d", "2", "--p", "2.0", "--eps", "0.05",
                          "--n", "1"]) == 2
+
+    @pytest.mark.parametrize("rep,data", [("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0])])
+    def test_malformed_channel_data_is_2(self, tmp_path, rep, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimIn": 2, "dimOut": 2, "representation": rep,
+                                    "data": data}))
+        assert cli.main(["bound", "--channel", str(path), "--eps", "0.05"]) == 2
 
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         chan = _write_identity_channel(tmp_path / "id.json")
