@@ -68,6 +68,8 @@ def _result(beta, eps: float, cls: TestClass, n: int = 1, **extra) -> BoundResul
 
 
 def _clamp_eps(eps: float) -> float:
+    """The eps an SDP program is solved at. When it differs from the requested
+    eps, ``_ea_result`` records it as ``diagnostics["eps_solved"]``."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
     # interior-point programs need strict feasibility at the endpoints
@@ -87,8 +89,8 @@ def _require_class(cls: TestClass) -> None:
 def _solve(problem: sdp.SdpProblem) -> sdp.SdpSolution:
     solution = sdp.solve(problem)
     if solution.status != "optimal":
-        raise SolverFailure(f"SDP terminated with status {solution.status} "
-                            f"(residuals {solution.residuals})")
+        raise SolverFailure(f"SDP terminated with status {solution.status} after "
+                            f"{solution.iterations} iterations (residuals {solution.residuals})")
     return solution
 
 
@@ -162,10 +164,13 @@ def _ea_result(channel: QuantumChannel, eps_raw: float, eps: float, cls: TestCla
     da, db = channel.dim_in, channel.dim_out
     r_opt = linalg.hermitian_part(solution.primal_blocks[r_block])
     sigma = _top_eigenspace_state(linalg.partial_trace(r_opt, (da, db), "a"))
+    diagnostics = dict(solution.residuals, iterations=solution.iterations,
+                       dual_objective=solution.dual_objective)
+    if eps != eps_raw:
+        diagnostics["eps_solved"] = eps
     return _result(solution.primal_objective, eps_raw, cls,
                    optimal_r=r_opt, optimal_sigma=sigma, optimal_rho=rho_mat,
-                   diagnostics=dict(solution.residuals, iterations=solution.iterations,
-                                    dual_objective=solution.dual_objective))
+                   diagnostics=diagnostics)
 
 
 def ea_bound(channel: QuantumChannel, rho: DensityMatrix, eps: float,

@@ -44,7 +44,10 @@ def fmt(x) -> str:
 def _parse_complex_entry(entry) -> complex:
     if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
         raise ValueError(f"complex entries must be [re, im] pairs, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except TypeError as exc:
+        raise ValueError(f"complex entries must be numeric [re, im] pairs, got {entry!r}") from exc
 
 
 def _parse_matrix(data, rows: int, cols: int) -> np.ndarray:
@@ -91,8 +94,13 @@ def load_state(path: str) -> quantum.DensityMatrix:
 def load_ensemble(path: str) -> list[tuple[float, quantum.DensityMatrix]]:
     with open(path, encoding="utf-8") as fh:
         spec = json.load(fh)
-    probs = [float(p) for p in spec["probs"]]
+    try:
+        probs = [float(p) for p in spec["probs"]]
+    except TypeError as exc:
+        raise ValueError("ensemble probs must be a list of numbers") from exc
     states = spec["states"]
+    if not isinstance(states, list) or any(not isinstance(st, list) for st in states):
+        raise ValueError("ensemble states must be a list of matrices")
     if len(probs) != len(states):
         raise ValueError("ensemble needs one probability per state")
     out = []

@@ -6,6 +6,12 @@ up front, so the core iteration only sees the standard equality form
 
     min sum_k <C_k, X_k>   s.t.   sum_k <A_ik, X_k> = b_i,   X_k >= 0.
 
+Each block stores only the constraint rows that touch it, and the Schur
+matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block into
+those rows. Each Newton system (one for the predictor, one for the
+corrector) is a single dense LU solve of M, with a least-squares fallback
+when M is exactly singular.
+
 Every produced iterate is re-symmetrized, so Hermiticity is maintained to
 roundoff. The solve is deterministic for identical input data.
 """
@@ -21,48 +27,52 @@ STEP_FRACTION = 0.98
 TOL_GAP = 1e-8  # relative duality gap at which a solve is optimal
 TOL_FEAS = 1e-8  # scaled primal and dual residual at which a solve is optimal
 MAX_ITER = 200
-_CHUNK = 1 << 22  # complex entries per Schur-assembly slab
 
 
 class _StandardForm:
-    """Equality-form data: stacked constraint tensors per block."""
+    """Equality-form data, stored per block over the rows that touch it.
+
+    Block k keeps the indices ``rows[k]`` of the constraint rows with a
+    coefficient on it, and those coefficients flattened to ``A[k]`` of shape
+    (len(rows[k]), d_k * d_k); ``A_conj[k]`` is its conjugate.
+    """
 
     def __init__(self, problem: SdpProblem):
         if not problem.constraints:
             raise ValueError("problem must carry at least one constraint")
         self.dims = list(problem.block_dims)
         self.n_orig = len(self.dims)
-        m = len(problem.constraints)
-        slack_of: list[int | None] = []
-        for con in problem.constraints:
-            if con.sense == "==":
-                slack_of.append(None)
-            else:
-                self.dims.append(1)
-                slack_of.append(len(self.dims) - 1)
-        self.b = np.array([c.rhs for c in problem.constraints], dtype=float)
-        self.A = [np.zeros((m, d, d), dtype=complex) for d in self.dims]
+        rows: list[list[int]] = [[] for _ in self.dims]
+        coeffs: list[list[np.ndarray]] = [[] for _ in self.dims]
         for i, con in enumerate(problem.constraints):
             for k, a in con.coeffs.items():
-                self.A[k][i] = a
-            if slack_of[i] is not None:
-                sign = 1.0 if con.sense == "<=" else -1.0
-                self.A[slack_of[i]][i, 0, 0] = sign
+                rows[k].append(i)
+                coeffs[k].append(a)
+            if con.sense != "==":
+                self.dims.append(1)
+                rows.append([i])
+                coeffs.append([np.array([[1.0 if con.sense == "<=" else -1.0]])])
+        self.m = len(problem.constraints)
+        self.b = np.array([c.rhs for c in problem.constraints], dtype=float)
+        self.rows = [np.array(r, dtype=np.intp) for r in rows]
+        # an empty block (no row touches it) gets shape (0, d * d)
+        self.A = [np.array(c, dtype=complex).reshape(len(c), d * d)
+                  for c, d in zip(coeffs, self.dims)]
+        self.A_conj = [a.conj() for a in self.A]
         self.C = [np.zeros((d, d), dtype=complex) for d in self.dims]
         for k, c in problem.objective.items():
             self.C[k] = c.astype(complex)
-        self.m = m
 
     def apply(self, blocks: list[np.ndarray]) -> np.ndarray:
         """A(X): vector of <A_i, X> over constraints."""
         out = np.zeros(self.m)
-        for ak, x in zip(self.A, blocks):
-            out += np.einsum("iab,ab->i", ak.conj(), x).real
+        for rows, ac, x in zip(self.rows, self.A_conj, blocks):
+            out[rows] += (ac @ x.reshape(x.size)).real
         return out
 
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
         """A*(y): per-block sum_i y_i A_ik."""
-        return [np.einsum("i,iab->ab", y, ak) for ak in self.A]
+        return [(y[rows] @ a).reshape(d, d) for rows, a, d in zip(self.rows, self.A, self.dims)]
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -94,32 +104,22 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return w_mat, g, g_inv, v_eigs, v_vecs
 
 
-def _schur(A: list[np.ndarray], W: list[np.ndarray]) -> np.ndarray:
-    """M_ij = sum_k <A_ik, W_k A_jk W_k>."""
-    m = A[0].shape[0]
-    M = np.zeros((m, m))
-    for ak, wk in zip(A, W):
-        n = wk.shape[0]
-        bk = np.empty_like(ak)
-        rows = max(1, _CHUNK // max(1, n * n))
-        for lo in range(0, m, rows):
-            hi = min(m, lo + rows)
-            bk[lo:hi] = wk @ ak[lo:hi] @ wk
-        M += np.real(ak.conj().reshape(m, -1) @ bk.reshape(m, -1).T)
+def _schur(sf: _StandardForm, W: list[np.ndarray]) -> np.ndarray:
+    """M_ij = sum_k Re<A_ik, W_k A_jk W_k>; block k adds into M[rows_k, rows_k]."""
+    M = np.zeros((sf.m, sf.m))
+    for rows, a, ac, wk, d in zip(sf.rows, sf.A, sf.A_conj, W, sf.dims):
+        r = len(rows)
+        bk = (wk @ a.reshape(r, d, d) @ wk).reshape(r, d * d)
+        M[np.ix_(rows, rows)] += (ac @ bk.T).real
     return 0.5 * (M + M.T)
 
 
-def _solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    scale = max(float(np.trace(M)) / M.shape[0], 1e-300)
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            L = np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
-            z = np.linalg.solve(L, rhs.T).T if rhs.ndim > 1 else np.linalg.solve(L, rhs)
-            return np.linalg.solve(L.conj().T, z)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
-    return np.linalg.lstsq(M, rhs, rcond=None)[0]
+def _solve_newton(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One dense LU solve of the Schur system; least squares if M is singular."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -155,10 +155,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     b_scale = 1.0 + float(np.linalg.norm(sf.b))
     c_scale = 1.0 + max(np.linalg.norm(c) for c in sf.C)
-    a_row_norms = np.sqrt(sum(np.einsum("iab,iab->i", ak.conj(), ak).real for ak in sf.A))
+    a_row_norms = np.zeros(m)
+    for rows, a, ac in zip(sf.rows, sf.A, sf.A_conj):
+        a_row_norms[rows] += (ac * a).real.sum(axis=1)
+    a_row_norms = np.sqrt(a_row_norms)
     X, S = [], []
     for k, d in enumerate(dims):
-        a_norm = float(np.sqrt(np.einsum("iab,iab->", sf.A[k].conj(), sf.A[k]).real))
+        a_norm = float(np.linalg.norm(sf.A[k]))
         xi = max(10.0, np.sqrt(d), d * float(np.max((1.0 + np.abs(sf.b)) / (1.0 + a_row_norms))))
         eta = max(10.0, np.sqrt(d), 1.0 + max(float(np.linalg.norm(sf.C[k])), a_norm))
         X.append(xi * np.eye(d, dtype=complex))
@@ -190,13 +193,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         scalings = [_nt_scaling(x, s) for x, s in zip(X, S)]
         W = [sc[0] for sc in scalings]
-        M = _schur(sf.A, W)
+        M = _schur(sf, W)
         h = [wk @ rd @ wk for wk, rd in zip(W, Rd)]
         a_of_h = sf.apply(h)
 
         def newton(Rc: list[np.ndarray]):
             rhs = rp - sf.apply(Rc) + a_of_h
-            dy = _solve_spd(M, rhs)
+            dy = _solve_newton(M, rhs)
             a_dy = sf.adjoint(dy)
             dS = [rd - ad for rd, ad in zip(Rd, a_dy)]
             dX = [linalg.hermitian_part(rc - wk @ ds @ wk)

@@ -35,6 +35,18 @@ class TestEaBound:
         res = ea_bound(identity_channel(2), MU2, 0.0, TestClass.PPT)
         assert res.bits == pytest.approx(1.0, abs=1e-6)
 
+    def test_clamped_eps_is_recorded(self):
+        res = ea_bound(identity_channel(2), MU2, 0.0, TestClass.PPT)
+        assert res.epsilon == 0.0
+        assert res.diagnostics["eps_solved"] == 1e-9
+        assert "eps_solved" not in ea_bound(DEPOL, MU2, 0.05).diagnostics
+
+    def test_solver_failure_names_iterations(self, monkeypatch):
+        monkeypatch.setattr(sdp.solver, "MAX_ITER", 2)
+        with pytest.raises(bounds.SolverFailure,
+                           match="status iteration-limit after 2 iterations"):
+            ea_bound(DEPOL, MU2, 0.05)
+
     def test_depolarising_matches_binomial(self):
         res = ea_bound(DEPOL, MU2, 0.05, TestClass.ALL)
         assert res.bits == pytest.approx(BINOMIAL_BITS_005, abs=1e-7)

@@ -227,12 +227,24 @@ class TestExitCodes:
         assert cli.main(["depol", "--d", "2", "--p", "2.0", "--eps", "0.05",
                          "--n", "1"]) == 2
 
-    @pytest.mark.parametrize("rep,data", [("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0])])
+    @pytest.mark.parametrize("rep,data", [
+        ("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0]),
+        ("kraus", [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])])
     def test_malformed_channel_data_is_2(self, tmp_path, rep, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dimIn": 2, "dimOut": 2, "representation": rep,
                                     "data": data}))
         assert cli.main(["bound", "--channel", str(path), "--eps", "0.05"]) == 2
+
+    @pytest.mark.parametrize("ensemble", [{"probs": [1.0], "states": [5]},
+                                          {"probs": [None], "states": [[[[1.0, 0.0]]]]},
+                                          {"probs": 5, "states": []}])
+    def test_malformed_ensemble_is_2(self, tmp_path, ensemble):
+        chan = _write_identity_channel(tmp_path / "id.json")
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(ensemble))
+        assert cli.main(["chi", "--channel", str(chan), "--ensemble", str(path),
+                         "--eps", "0.05"]) == 2
 
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         chan = _write_identity_channel(tmp_path / "id.json")

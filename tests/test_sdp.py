@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qconv import bounds, quantum
 from qconv.sdp import SdpProblem, hermitian_basis, solve, verify
+from qconv.sdp.solver import _schur, _StandardForm
 
 
 def _scalar_lower_bound_problem():
@@ -221,3 +223,59 @@ class TestVerify:
         assert not report.ok
         assert report.max_inequality_violation == pytest.approx(0.1, abs=1e-9)
         assert any("constraint 0" in f for f in report.findings)
+
+
+def _depol_ppt_program():
+    """The n = 2 PPT optimised-input program of the qubit depolarising channel."""
+    chan = quantum.tensor_power(quantum.depolarising_channel(2, 0.15), 2)
+    prob, _, _ = bounds._ea_problem(chan, 0.05, bounds.TestClass.PPT, None)
+    return prob
+
+
+def _dense_constraints(prob, dims):
+    """Per block, the (m, d, d) tensor of every row's coefficient, zero where
+    the row does not touch the block; inequality rows get their 1x1 slack
+    blocks after the problem's own, as the solver orders them."""
+    m = len(prob.constraints)
+    dense = [np.zeros((m, d, d), dtype=complex) for d in dims]
+    slack = len(prob.block_dims)
+    for i, con in enumerate(prob.constraints):
+        for k, a in con.coeffs.items():
+            dense[k][i] = a
+        if con.sense != "==":
+            dense[slack][i, 0, 0] = 1.0 if con.sense == "<=" else -1.0
+            slack += 1
+    return dense
+
+
+def _random_hermitian(rng, d, definite=False):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g @ g.conj().T + 0.5 * np.eye(d) if definite else (g + g.conj().T) / 2
+
+
+class TestStandardFormKernels:
+    def test_schur_matches_dense_definition(self, rng):
+        prob = _depol_ppt_program()
+        sf = _StandardForm(prob)
+        dense = _dense_constraints(prob, sf.dims)
+        W = [_random_hermitian(rng, d, definite=True) for d in sf.dims]
+        want = np.zeros((sf.m, sf.m))
+        for a, w in zip(dense, W):
+            wa = w @ a @ w
+            want += np.real(a.conj().reshape(sf.m, -1) @ wa.reshape(sf.m, -1).T)
+        got = _schur(sf, W)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_apply_and_adjoint(self, rng):
+        prob = _depol_ppt_program()
+        sf = _StandardForm(prob)
+        dense = _dense_constraints(prob, sf.dims)
+        X = [_random_hermitian(rng, d) for d in sf.dims]
+        y = rng.normal(size=sf.m)
+        a_x = sf.apply(X)
+        assert_allclose(a_x, sum(np.einsum("iab,ab->i", a.conj(), x).real
+                                 for a, x in zip(dense, X)), rtol=0, atol=1e-12)
+        a_star_y = sf.adjoint(y)
+        lhs = float(a_x @ y)
+        rhs = sum(np.real(np.sum(x.conj() * ay)) for x, ay in zip(X, a_star_y))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
