@@ -94,15 +94,6 @@ def _solve(problem: sdp.SdpProblem) -> sdp.SdpSolution:
     return solution
 
 
-def _top_eigenspace_state(op: np.ndarray, degeneracy_tol: float = 1e-8) -> np.ndarray:
-    """Normalized projector onto the top eigenspace, degeneracies merged."""
-    w, v = np.linalg.eigh(linalg.hermitian_part(op))
-    top = w[-1]
-    sel = v[:, w >= top - degeneracy_tol * (1.0 + abs(top))]
-    proj = sel @ sel.conj().T
-    return linalg.hermitian_part(proj / sel.shape[1])
-
-
 def _ea_problem(channel: QuantumChannel, eps: float, cls: TestClass,
                 rho_ref: np.ndarray | None):
     """Assemble the converse SDP; ``rho_ref is None`` makes the input state a
@@ -118,7 +109,7 @@ def _ea_problem(channel: QuantumChannel, eps: float, cls: TestClass,
     eye_a = np.eye(da, dtype=complex)
     eye_b = np.eye(db, dtype=complex)
 
-    # trace over the reference: Tr_ref R + S_TR = lambda I_B
+    # trace over the reference: Tr_ref R + S_TR = lambda I_B (first rows, see _ea_result)
     prob.add_operator_equality(
         {R: lambda h: np.kron(eye_a, h),
          S_TR: lambda h: h,
@@ -161,9 +152,12 @@ def _ea_problem(channel: QuantumChannel, eps: float, cls: TestClass,
 def _ea_result(channel: QuantumChannel, eps_raw: float, eps: float, cls: TestClass,
                solution: sdp.SdpSolution, r_block: int,
                rho_mat: np.ndarray | None) -> BoundResult:
-    da, db = channel.dim_in, channel.dim_out
     r_opt = linalg.hermitian_part(solution.primal_blocks[r_block])
-    sigma = _top_eigenspace_state(linalg.partial_trace(r_opt, (da, db), "a"))
+    # the adversary's output state: G = -sum_i y_i h_i over the multipliers
+    # of the trace rows Tr_ref R + S_TR = lambda I_B, which come first
+    g = -sum(y * h for y, h in zip(solution.dual_multipliers,
+                                   sdp.hermitian_basis(channel.dim_out)))
+    sigma = g / np.trace(g).real
     diagnostics = dict(solution.residuals, iterations=solution.iterations,
                        dual_objective=solution.dual_objective)
     if eps != eps_raw:
@@ -217,10 +211,11 @@ def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> Bo
         np.zeros((dab, dab)))
     prob.add_constraint({G: np.eye(db, dtype=complex)}, 1.0, "<=")
     solution = _solve(prob)
-    value = -solution.primal_objective
-    return _result(value, eps, TestClass.ALL,
-                   diagnostics=dict(solution.residuals, iterations=solution.iterations,
-                                    dual_objective=-solution.dual_objective))
+    diagnostics = dict(solution.residuals, iterations=solution.iterations,
+                       dual_objective=-solution.dual_objective)
+    if eps_c != eps:
+        diagnostics["eps_solved"] = eps_c
+    return _result(-solution.primal_objective, eps, TestClass.ALL, diagnostics=diagnostics)
 
 
 def ea_bound_opt_rho(channel: QuantumChannel, eps: float,
@@ -291,96 +286,61 @@ def depolarising_exact(d: int, p: float, n: int, eps: float) -> BoundResult:
                                 "gamma": tr.gamma})
 
 
-def _golden_section(f, lo: float, hi: float, iters: int = 80):
-    """Minimize a unimodal function on [lo, hi]; returns (x, f(x))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+MAX_CLASSICAL_SIZE = 64  # na * nb: the size of the three-use qubit program
 
 
-def _simplex_minimize(f, dim: int, iters: int = 60):
-    """Minimize a convex function over the probability simplex.
+def _classical_embedding(w: np.ndarray) -> QuantumChannel:
+    """Channel with Kraus operators sqrt(w[b, a]) |b><a|, classical on the diagonal."""
+    nb, na = w.shape
+    return QuantumChannel([np.sqrt(w[b, a]) * np.outer(np.eye(nb)[b], np.eye(na)[a])
+                           for a in range(na) for b in range(nb)])
 
-    Nested golden-section over stick-breaking mass coordinates; the partial
-    minimum over a suffix of coordinates is again convex in the preceding
-    one, so each 1-D search is unimodal. Cost grows as iters**(dim-1),
-    which is fine for the small alphabets this is used on.
-    """
-    if dim == 1:
-        point = np.array([1.0])
-        return point, f(point)
 
-    def rec(prefix: list[float], remaining: float, k: int):
-        if k == dim - 1:
-            point = prefix + [remaining]
-            return point, f(np.array(point))
-
-        def val(t: float) -> float:
-            return rec(prefix + [t], remaining - t, k + 1)[1]
-
-        x, _ = _golden_section(val, 0.0, remaining, iters)
-        return rec(prefix + [x], remaining - x, k + 1)
-
-    point, value = rec([], 1.0, 0)
-    return np.array(point), value
+def _distribution(v: np.ndarray) -> np.ndarray:
+    """A solver's near-distribution with roundoff negatives cut and mass renormalized."""
+    v = np.maximum(v, 0.0)
+    return v / v.sum()
 
 
 def classical_converse(w: np.ndarray, eps: float,
                        p: np.ndarray | None = None) -> BoundResult:
     """Converse for a classical channel given by a column-stochastic matrix.
 
-    For a fixed input distribution p the bound is -log2 of the maximal
-    type-II error of the classical test between the joint input-output
-    distribution and p x q, maximized over output distributions q (the
-    inner maximum is concave in q). When ``p`` is omitted it is optimized
-    as well; the type-II error is convex in p, so both searches use
-    nested golden-section over the simplex (practical for small
-    alphabets).
+    -log2 of the minimal type-II error of the classical test between the
+    joint input-output distribution and p x q, for the worst output
+    distribution q and, when ``p`` is omitted, the input p that maximizes
+    the bound. Both are read off the unrestricted program on the diagonal
+    embedding, where it is the linear program of Matthews (IEEE Trans. IT
+    2012); beta is then evaluated by the classical Neyman-Pearson test at
+    the requested eps. The matrix may have at most MAX_CLASSICAL_SIZE entries.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.min() < -1e-12:
-        raise ValueError("channel matrix must be a nonnegative matrix")
+    if w.ndim != 2 or not np.isfinite(w).all() or w.min() < -1e-12:
+        raise ValueError("channel matrix must be a finite nonnegative matrix")
     if np.abs(w.sum(axis=0) - 1.0).max() > 1e-10:
         raise ValueError("channel matrix columns must be distributions")
     nb, na = w.shape
+    if na * nb > MAX_CLASSICAL_SIZE:
+        raise ValueError(f"channel matrix has more than {MAX_CLASSICAL_SIZE} entries")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-
-    def beta_tilde(p_in: np.ndarray) -> float:
-        joint = (w * p_in[None, :]).T.reshape(-1)  # index a*nb + b
-
-        def neg_beta(q: np.ndarray) -> float:
-            prod = np.outer(p_in, q).reshape(-1)
-            return -classical_np_beta(joint, prod, eps).beta
-
-        _, value = _simplex_minimize(neg_beta, nb)
-        return -value
-
     if p is None:
-        if na > 8:
-            raise ValueError("input optimization supported for alphabets up to 8; pass p")
-        p_opt, beta = _simplex_minimize(beta_tilde, na)
+        res = ea_bound_opt_rho(_classical_embedding(w), eps)
+        p = _distribution(np.diag(res.optimal_rho).real)
     else:
-        p_opt = np.asarray(p, dtype=float)
-        if p_opt.shape != (na,) or abs(p_opt.sum() - 1.0) > 1e-10 or p_opt.min() < 0:
+        p = np.asarray(p, dtype=float)
+        if p.shape != (na,) or not np.isfinite(p).all() or p.min() < 0 \
+                or abs(p.sum() - 1.0) > 1e-10:
             raise ValueError("p must be a distribution over the input alphabet")
-        beta = beta_tilde(p_opt)
+        used = p > 0  # unused input symbols would leave the program without an interior
+        res = ea_bound(_classical_embedding(w[:, used]), DensityMatrix(np.diag(p[used])), eps)
+    q = _distribution(np.diag(res.optimal_sigma).real)
+    joint = (w * p[None, :]).T.reshape(-1)  # index a*nb + b
+    beta = classical_np_beta(joint, np.outer(p, q).reshape(-1), eps).beta
     return _result(beta, eps, TestClass.ALL,
-                   optimal_rho=np.diag(p_opt).astype(complex),
-                   diagnostics={"input_distribution": p_opt.tolist()})
+                   optimal_sigma=np.diag(q).astype(complex),
+                   optimal_rho=np.diag(p).astype(complex),
+                   diagnostics={"input_distribution": p.tolist()})
 
 
 def wang_renner_chi(ensemble: list[tuple[float, DensityMatrix]],

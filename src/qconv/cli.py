@@ -79,21 +79,40 @@ def parse_channel(spec: dict) -> quantum.QuantumChannel:
     raise ValueError(f"representation must be 'kraus' or 'choi', got {rep!r}")
 
 
-def load_channel(path: str) -> quantum.QuantumChannel:
+def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_channel(json.load(fh))
+        return json.load(fh)
+
+
+def _load_object(path: str) -> dict:
+    spec = _load_json(path)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return spec
+
+
+def _float_array(data, what: str) -> np.ndarray:
+    try:
+        return np.array(data, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be numbers") from exc
+
+
+def load_channel(path: str) -> quantum.QuantumChannel:
+    return parse_channel(_load_object(path))
 
 
 def load_state(path: str) -> quantum.DensityMatrix:
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    d = int(spec["dim"])
+    spec = _load_object(path)
+    try:
+        d = int(spec["dim"])
+    except TypeError as exc:
+        raise ValueError("state dim must be an integer") from exc
     return quantum.DensityMatrix(_parse_matrix(spec["data"], d, d), atol=1e-8)
 
 
 def load_ensemble(path: str) -> list[tuple[float, quantum.DensityMatrix]]:
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _load_object(path)
     try:
         probs = [float(p) for p in spec["probs"]]
     except TypeError as exc:
@@ -224,13 +243,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    with open(args.channel, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    w = np.array(spec["data"], dtype=float)
+    w = _float_array(_load_object(args.channel)["data"], "classical channel data")
     p = None
     if args.p and args.p != "optimize":
-        with open(args.p, encoding="utf-8") as fh:
-            p = np.array(json.load(fh), dtype=float)
+        p = _float_array(_load_json(args.p), "input distribution")
     eps_list = parse_eps_list(args.eps)
 
     def work(point):

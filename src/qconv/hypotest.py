@@ -48,6 +48,8 @@ def _check_distribution(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("distribution must be a vector")
+    if not np.isfinite(p).all():
+        raise ValueError("distribution has non-finite entries")
     if p.min() < 0.0:
         raise ValueError(f"distribution has negative entry {p.min()}")
     if abs(p.sum() - 1.0) > DIST_ATOL:

@@ -228,12 +228,13 @@ def mutual_information(channel: QuantumChannel, rho: DensityMatrix) -> float:
     """Quantum mutual information between reference and output (bits).
 
     S(ρ) + S(E(ρ)) - S((id ⊗ E) ρ_pur) for the canonical purification,
-    clamped to be nonnegative.
+    clamped to be nonnegative. The joint state is (√ρᵀ ⊗ I) choi (√ρᵀ ⊗ I),
+    built from the cached Choi operator.
     """
     if rho.dim != channel.dim_in:
         raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
-    pur = canonical_purification(rho)
-    joint = DensityMatrix(linalg.hermitian_part(apply_channel_second(channel, pur.mat, rho.dim)))
+    side = np.kron(linalg.herm_sqrt(rho.mat, clip=0.0).T, np.eye(channel.dim_out))
+    joint = DensityMatrix(linalg.hermitian_part(side @ channel.choi @ side))
     value = (von_neumann_entropy(rho)
              + von_neumann_entropy(apply_channel(channel, rho))
              - von_neumann_entropy(joint))

@@ -52,6 +52,25 @@ def product_distribution(q: float, n: int) -> np.ndarray:
     return out
 
 
+def _golden_max(f, iters: int = 60) -> float:
+    """Maximum of a unimodal function on [0, 1] by golden-section search,
+    endpoints included."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return max(f(0.5 * (a + b)), f(0.0), f(1.0))
+
+
 def identity_opt_input_bound(eps: float, spectrum_grid: int = 21,
                              golden_iters: int = 45) -> float:
     """Grid-search oracle for the optimized unrestricted bound of the qubit
@@ -66,8 +85,6 @@ def identity_opt_input_bound(eps: float, spectrum_grid: int = 21,
     from qconv.hypotest import quantum_np_beta
     from qconv.quantum import DensityMatrix, canonical_purification
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
     def max_beta_over_sigma(rho_mat: np.ndarray) -> float:
         pur = canonical_purification(DensityMatrix(rho_mat))
         ref = rho_mat.T
@@ -77,19 +94,7 @@ def identity_opt_input_bound(eps: float, spectrum_grid: int = 21,
             h1 = DensityMatrix(np.kron(ref, sigma))
             return quantum_np_beta(pur, h1, eps).beta
 
-        a, b = 0.0, 1.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = beta(c), beta(d)
-        for _ in range(golden_iters):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = beta(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = beta(d)
-        return max(beta(0.5 * (a + b)), beta(0.0), beta(1.0))
+        return _golden_max(beta, golden_iters)
 
     best = 0.0
     for r in np.linspace(0.0, 1.0, spectrum_grid):
@@ -97,3 +102,25 @@ def identity_opt_input_bound(eps: float, spectrum_grid: int = 21,
         beta_val = max_beta_over_sigma(rho)
         best = max(best, -np.log2(max(beta_val, 1e-300)))
     return best
+
+
+def classical_converse_bits(w, eps: float, p=None) -> float:
+    """Brute-force classical converse (bits) for a 2x2 column-stochastic matrix.
+
+    beta(p, q) comes from exhaustive test enumeration; it is concave in the
+    output distribution q, whose worst case is found by a 1-D search, and
+    that worst case is convex in the input p, searched the same way when
+    ``p`` is not given. No SDP is involved.
+    """
+    w = np.asarray(w, dtype=float)
+
+    def beta(p0: float, q0: float) -> float:
+        pv, qv = np.array([p0, 1.0 - p0]), np.array([q0, 1.0 - q0])
+        joint = (w * pv[None, :]).T.reshape(-1)
+        return exhaustive_np_beta(joint, np.outer(pv, qv).reshape(-1), eps)
+
+    def worst(p0: float) -> float:
+        return _golden_max(lambda q0: beta(p0, q0))
+
+    best = worst(p[0]) if p is not None else -_golden_max(lambda p0: -worst(p0))
+    return float(-np.log2(best))

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (rand_channel, rand_classical_channel, rand_povm, rand_state,
                       rand_unitary)
-from oracles import identity_opt_input_bound
+from oracles import classical_converse_bits, identity_opt_input_bound
 from qconv import bounds, linalg, quantum, sdp
 from qconv.bounds import (TestClass, average_state, binary_entropy,
                           binary_relative_entropy, classical_converse, depolarising_exact,
@@ -40,6 +40,10 @@ class TestEaBound:
         assert res.epsilon == 0.0
         assert res.diagnostics["eps_solved"] == 1e-9
         assert "eps_solved" not in ea_bound(DEPOL, MU2, 0.05).diagnostics
+        dual = ea_bound_dual(identity_channel(2), MU2, 0.0)
+        assert dual.epsilon == 0.0
+        assert dual.diagnostics["eps_solved"] == 1e-9
+        assert "eps_solved" not in ea_bound_dual(DEPOL, MU2, 0.05).diagnostics
 
     def test_solver_failure_names_iterations(self, monkeypatch):
         monkeypatch.setattr(sdp.solver, "MAX_ITER", 2)
@@ -76,6 +80,17 @@ class TestEaBound:
             trace_out = linalg.partial_trace(res.optimal_r, (2, chan.dim_out), "a")
             top = np.linalg.eigvalsh(trace_out).max()
             assert top == pytest.approx(res.beta, abs=1e-7)
+
+    def test_optimal_sigma_is_the_adversary_state(self, rng):
+        # the Neyman-Pearson test against rho_ref ⊗ sigma attains the bound
+        for _ in range(4):
+            chan = rand_channel(rng, 2, int(rng.integers(2, 4)))
+            rho = rand_state(rng, 2)
+            res = ea_bound(chan, rho, 0.1)
+            joint = DensityMatrix(apply_channel_second(
+                chan, canonical_purification(rho).mat, 2))
+            prod = DensityMatrix(np.kron(rho.mat.T, res.optimal_sigma), atol=1e-8)
+            assert quantum_np_beta(joint, prod, 0.1).beta == pytest.approx(res.beta, abs=1e-6)
 
     def test_program_residuals(self):
         # end-to-end feasibility of the assembled program at the solution
@@ -162,6 +177,34 @@ class TestClassicalConverse:
     def test_validation(self):
         with pytest.raises(ValueError):
             classical_converse(np.array([[0.5, 0.2], [0.5, 0.2]]), 0.1)
+
+    def test_matches_brute_force_oracle(self, rng):
+        for _ in range(3):
+            w, _ = rand_classical_channel(rng, 2, 2)
+            p = rng.random(2) + 0.1
+            p /= p.sum()
+            eps = float(rng.uniform(0.01, 0.3))
+            assert classical_converse(w, eps, p).bits == pytest.approx(
+                classical_converse_bits(w, eps, p), abs=1e-6)
+            assert classical_converse(w, eps).bits == pytest.approx(
+                classical_converse_bits(w, eps), abs=1e-6)
+
+    def test_unused_input_symbol(self):
+        w = np.array([[0.9, 0.2], [0.1, 0.8]])
+        res = classical_converse(w, 0.1, p=np.array([1.0, 0.0]))
+        assert res.bits == pytest.approx(classical_converse_bits(w, 0.1, [1.0, 0.0]), abs=1e-6)
+
+    @pytest.mark.parametrize("w,p", [
+        (np.array([[np.nan, 0.5], [0.5, 0.5]]), None),
+        (np.eye(2), np.array([np.nan, 0.5]))])
+    def test_non_finite_input_is_rejected(self, w, p):
+        with pytest.raises(ValueError):
+            classical_converse(w, 0.1, p)
+
+    def test_size_limit(self):
+        w = np.full((2, 33), 0.5)  # 66 entries
+        with pytest.raises(ValueError, match="more than 64 entries"):
+            classical_converse(w, 0.1, np.full(33, 1 / 33))
 
 
 class TestDepolarisingExact:

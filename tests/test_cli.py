@@ -246,6 +246,28 @@ class TestExitCodes:
         assert cli.main(["chi", "--channel", str(chan), "--ensemble", str(path),
                          "--eps", "0.05"]) == 2
 
+    @pytest.mark.parametrize("state", [{"dim": None, "data": []}, [[[1.0, 0.0]]]])
+    def test_malformed_state_is_2(self, tmp_path, state):
+        chan = _write_identity_channel(tmp_path / "id.json")
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(state))
+        assert cli.main(["bound", "--channel", str(chan), "--eps", "0.05",
+                         "--rho", str(path)]) == 2
+
+    @pytest.mark.parametrize("channel,p", [
+        ([[0.9, 0.1], [0.1, 0.9]], None),
+        ({"data": [[0.9, 0.1], [0.1, 0.9]]}, {"p": [0.5, 0.5]}),
+        ({"data": [[0.9, 0.1], [0.1, 0.9]]}, [{"p": 0.5}, 0.5]),
+        ({"data": [[0.9, 0.1], [0.1, 0.9]]}, [None, 0.5])])
+    def test_malformed_classical_input_is_2(self, tmp_path, channel, p):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(channel))
+        argv = ["classical", "--channel", str(path), "--eps", "0.05"]
+        if p is not None:
+            (tmp_path / "p.json").write_text(json.dumps(p))
+            argv += ["--p", str(tmp_path / "p.json")]
+        assert cli.main(argv) == 2
+
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         chan = _write_identity_channel(tmp_path / "id.json")
 

@@ -50,6 +50,11 @@ class TestClassicalNp:
         with pytest.raises(ValueError):
             classical_np_beta([0.5, 0.6], [1.0, 0.0], 0.1)
 
+    def test_non_finite_distribution_is_rejected(self):
+        # NaN passes every sum and sign check, and used to give beta = 1
+        with pytest.raises(ValueError, match="non-finite"):
+            classical_np_beta([np.nan, 1.0], [0.5, 0.5], 0.1)
+
 
 class TestBinomial:
     def test_zero_budget(self):
