@@ -11,7 +11,10 @@ PPT-preserving tests bound unassisted codes.
 Both bounds are evaluated as semidefinite programs in the variable
 R = rho_ref^(1/2) T rho_ref^(1/2); the worst-case type-II error of a test
 becomes the spectral norm of its reference-side partial trace, which the
-program minimizes as an epigraph variable.
+program minimizes as an epigraph variable lambda. The program is stated as
+linear matrix inequalities in R, lambda and (when optimized) rho_ref, whose
+coordinates are the solver's dual variables (Vandenberghe & Boyd,
+*Semidefinite programming*, SIAM Review 1996).
 """
 
 from __future__ import annotations
@@ -94,95 +97,100 @@ def _solve(problem: sdp.SdpProblem) -> sdp.SdpSolution:
     return solution
 
 
+def _coords_to_operator(y: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian operator with coordinates ``y`` in ``sdp.hermitian_basis(d)``."""
+    return sum(yi * h for yi, h in zip(y, sdp.hermitian_basis(d)))
+
+
+# blocks of the converse program: R >= 0, rho_ref ⊗ I - R >= 0, lambda I - Tr_ref R >= 0
+# (its multiplier is the adversary's output state), <choi, R> - (1 - eps) >= 0
+_POS, _CAP, _G, _ACC = range(4)
+
+
 def _ea_problem(channel: QuantumChannel, eps: float, cls: TestClass,
-                rho_ref: np.ndarray | None):
-    """Assemble the converse SDP; ``rho_ref is None`` makes the input state a
-    variable block (the joint program of the optimized bound)."""
+                rho_ref: np.ndarray | None) -> sdp.SdpProblem:
+    """Assemble the converse program as linear matrix inequalities.
+
+    The unknowns are the solver's dual variables y, in row order: the
+    Hermitian coordinates of R, then y = -lambda (the solver maximizes
+    b·y = -lambda), then, with ``rho_ref is None``, the coordinates of the
+    variable input rho_ref. Each inequality is one PSD block of the
+    solver's primal, whose dual slack is C_k - sum_i y_i A_ik; no block
+    has rows of its own.
+    """
     da, db = channel.dim_in, channel.dim_out
     dab = da * db
-    prob = sdp.SdpProblem([dab, 1, db, dab])  # R, lambda, slack for trace-out, slack for cap
-    R, LAM, S_TR, S_CAP = 0, 1, 2, 3
-    rho_block = None
-    if rho_ref is None:
-        rho_block = prob.add_block(da)
-    prob.set_objective(LAM, [[1.0]])
-    eye_a = np.eye(da, dtype=complex)
     eye_b = np.eye(db, dtype=complex)
-
-    # trace over the reference: Tr_ref R + S_TR = lambda I_B (first rows, see _ea_result)
-    prob.add_operator_equality(
-        {R: lambda h: np.kron(eye_a, h),
-         S_TR: lambda h: h,
-         LAM: lambda h: -np.real(np.trace(h)) * np.eye(1)},
-        np.zeros((db, db)))
-    # acceptance on the true hypothesis: <choi, R> >= 1 - eps
-    prob.add_constraint({R: channel.choi}, 1.0 - eps, ">=")
-    # cap: R + S_CAP = rho_ref ⊗ I_B (rho_ref fixed or variable)
-    if rho_ref is not None:
-        prob.add_operator_equality(
-            {R: lambda h: h, S_CAP: lambda h: h},
-            np.kron(rho_ref, eye_b))
-    else:
-        prob.add_operator_equality(
-            {R: lambda h: h, S_CAP: lambda h: h,
-             rho_block: lambda h: -linalg.partial_trace(h, (da, db), "b")},
-            np.zeros((dab, dab)))
-        prob.add_constraint({rho_block: eye_a}, 1.0, "==")
-
+    choi = channel.choi
+    prob = sdp.SdpProblem([dab, dab, db, 1])  # _POS, _CAP, _G, _ACC
+    caps = [_CAP]
+    r_terms = {_POS: lambda h: -h,
+               _CAP: lambda h: h,
+               _G: lambda h: linalg.partial_trace(h, (da, db), "a"),
+               _ACC: lambda h: -np.real(np.sum(choi.conj() * h)) * np.eye(1)}
+    prob.set_objective(_ACC, [[-(1.0 - eps)]])
     if cls is TestClass.PPT:
-        # 0 <= R^{T_B} <= rho_ref ⊗ I_B via a mirror block P = R^{T_B}
-        P = prob.add_block(dab)
-        S_PPT = prob.add_block(dab)
-        prob.add_operator_equality(
-            {P: lambda h: h,
-             R: lambda h: -linalg.partial_transpose(h, (da, db), "b")},
-            np.zeros((dab, dab)))
-        if rho_ref is not None:
-            prob.add_operator_equality(
-                {P: lambda h: h, S_PPT: lambda h: h},
-                np.kron(rho_ref, eye_b))
-        else:
-            prob.add_operator_equality(
-                {P: lambda h: h, S_PPT: lambda h: h,
-                 rho_block: lambda h: -linalg.partial_trace(h, (da, db), "b")},
-                np.zeros((dab, dab)))
-    return prob, R, rho_block
+        # R^{T_B} >= 0 and rho_ref ⊗ I - R^{T_B} >= 0 in the same R rows
+        ppt, ppt_cap = prob.add_block(dab), prob.add_block(dab)
+        caps.append(ppt_cap)
+        r_terms[ppt] = lambda h: -linalg.partial_transpose(h, (da, db), "b")
+        r_terms[ppt_cap] = lambda h: linalg.partial_transpose(h, (da, db), "b")
+    if rho_ref is not None:
+        for k in caps:
+            prob.set_objective(k, np.kron(rho_ref, eye_b))
+    prob.add_operator_equality(r_terms, np.zeros((dab, dab)))
+    # the lambda row, y = -lambda: "<=" keeps lambda >= 0, and Tr G <= 1 on the primal side
+    prob.add_constraint({_G: eye_b}, 1.0, "<=")
+    if rho_ref is None:
+        # rho_ref >= 0 and 1 - Tr rho_ref >= 0; Tr rho_ref <= 1 has the same
+        # optimum as Tr rho_ref = 1, since a larger rho_ref only loosens the caps
+        rho, trace = prob.add_block(da), prob.add_block(1)
+        rho_terms = {k: (lambda g: -np.kron(g, eye_b)) for k in caps}
+        rho_terms[rho] = lambda g: -g
+        rho_terms[trace] = lambda g: np.real(np.trace(g)) * np.eye(1)
+        prob.set_objective(trace, [[1.0]])
+        prob.add_operator_equality(rho_terms, np.zeros((da, da)))
+    return prob
 
 
 def _ea_result(channel: QuantumChannel, eps_raw: float, eps: float, cls: TestClass,
-               solution: sdp.SdpSolution, r_block: int,
-               rho_mat: np.ndarray | None) -> BoundResult:
-    r_opt = linalg.hermitian_part(solution.primal_blocks[r_block])
-    # the adversary's output state: G = -sum_i y_i h_i over the multipliers
-    # of the trace rows Tr_ref R + S_TR = lambda I_B, which come first
-    g = -sum(y * h for y, h in zip(solution.dual_multipliers,
-                                   sdp.hermitian_basis(channel.dim_out)))
-    sigma = g / np.trace(g).real
+               solution: sdp.SdpSolution, rho_optimized: bool) -> BoundResult:
+    """beta = lambda = -(dual objective); R and rho_ref from the dual variables,
+    the adversary's state from the multiplier of the block lambda I - Tr_ref R.
+    The solver's primal value is the converse dual's, kept as a diagnostic."""
+    dab = channel.dim_in * channel.dim_out
+    y = solution.dual_multipliers
+    r_opt = _coords_to_operator(y[:dab * dab], dab)
+    g = linalg.hermitian_part(solution.primal_blocks[_G])
+    rho_mat = None
+    if rho_optimized:
+        rho_ref = _coords_to_operator(y[dab * dab + 1:], channel.dim_in)
+        rho_mat = (rho_ref / np.trace(rho_ref).real).T
     diagnostics = dict(solution.residuals, iterations=solution.iterations,
-                       dual_objective=solution.dual_objective)
+                       dual_objective=-solution.primal_objective)
     if eps != eps_raw:
         diagnostics["eps_solved"] = eps
-    return _result(solution.primal_objective, eps_raw, cls,
-                   optimal_r=r_opt, optimal_sigma=sigma, optimal_rho=rho_mat,
-                   diagnostics=diagnostics)
+    return _result(-solution.dual_objective, eps_raw, cls,
+                   optimal_r=r_opt, optimal_sigma=g / np.trace(g).real,
+                   optimal_rho=rho_mat, diagnostics=diagnostics)
 
 
 def ea_bound(channel: QuantumChannel, rho: DensityMatrix, eps: float,
              cls: TestClass = TestClass.ALL) -> BoundResult:
-    """Converse bound at a fixed average input state (primal program).
+    """Converse bound at a fixed average input state.
 
-    Returns bits = -log2(min lambda) where lambda caps the reference-side
-    partial trace of R, subject to acceptance probability at least 1-eps
-    on the channel hypothesis and 0 <= R <= rho_ref ⊗ I. For the PPT
-    class the same two-sided cap is imposed on the partial transpose.
+    Returns bits = -log2(min lambda) where lambda I >= Tr_ref R, subject to
+    acceptance probability <choi, R> >= 1-eps on the channel hypothesis and
+    0 <= R <= rho_ref ⊗ I. For the PPT class the same two-sided cap is
+    imposed on the partial transpose. ``optimal_sigma`` is the multiplier
+    of the lambda inequality, normalized: the adversary's output state.
     """
     _require_class(cls)
     if rho.dim != channel.dim_in:
         raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
     eps_c = _clamp_eps(eps)
-    prob, r_block, _ = _ea_problem(channel, eps_c, cls, _ref_state(rho))
-    solution = _solve(prob)
-    return _ea_result(channel, eps, eps_c, cls, solution, r_block, None)
+    solution = _solve(_ea_problem(channel, eps_c, cls, _ref_state(rho)))
+    return _ea_result(channel, eps, eps_c, cls, solution, rho_optimized=False)
 
 
 def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> BoundResult:
@@ -190,7 +198,8 @@ def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> Bo
 
     Maximizes (1-eps) mu - <F, rho_ref ⊗ I> subject to
     I ⊗ G + F >= mu choi, Tr G <= 1 and F, G, mu >= 0; by strong duality
-    the value equals the primal bound.
+    the value equals ``ea_bound``'s. It is assembled separately, with a slack
+    block for the operator inequality, as an independent reference.
     """
     if rho.dim != channel.dim_in:
         raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
@@ -222,16 +231,15 @@ def ea_bound_opt_rho(channel: QuantumChannel, eps: float,
                      cls: TestClass = TestClass.ALL) -> BoundResult:
     """Converse bound maximized over input states.
 
-    Joint program: the reference state becomes a PSD unit-trace variable
-    block, the cap constraint R <= rho_ref ⊗ I staying linear in the pair.
-    The returned optimal_rho is transposed back to the input convention.
+    Joint program: the reference state becomes a variable with
+    rho_ref >= 0 and Tr rho_ref <= 1, the cap R <= rho_ref ⊗ I staying
+    linear in the pair. The returned optimal_rho is normalized to unit
+    trace and transposed back to the input convention.
     """
     _require_class(cls)
     eps_c = _clamp_eps(eps)
-    prob, r_block, rho_block = _ea_problem(channel, eps_c, cls, None)
-    solution = _solve(prob)
-    rho_mat = linalg.hermitian_part(solution.primal_blocks[rho_block]).T
-    return _ea_result(channel, eps, eps_c, cls, solution, r_block, rho_mat)
+    solution = _solve(_ea_problem(channel, eps_c, cls, None))
+    return _ea_result(channel, eps, eps_c, cls, solution, rho_optimized=True)
 
 
 def binary_entropy(p: float) -> float:
@@ -319,6 +327,10 @@ def classical_converse(w: np.ndarray, eps: float,
         raise ValueError("channel matrix must be a finite nonnegative matrix")
     if np.abs(w.sum(axis=0) - 1.0).max() > 1e-10:
         raise ValueError("channel matrix columns must be distributions")
+    # cut the roundoff the checks allow, so that the embedding's square roots
+    # and the Neyman-Pearson test's 1e-12 sum check see exact distributions
+    w = np.maximum(w, 0.0)
+    w = w / w.sum(axis=0)
     nb, na = w.shape
     if na * nb > MAX_CLASSICAL_SIZE:
         raise ValueError(f"channel matrix has more than {MAX_CLASSICAL_SIZE} entries")
@@ -332,6 +344,7 @@ def classical_converse(w: np.ndarray, eps: float,
         if p.shape != (na,) or not np.isfinite(p).all() or p.min() < 0 \
                 or abs(p.sum() - 1.0) > 1e-10:
             raise ValueError("p must be a distribution over the input alphabet")
+        p = p / p.sum()
         used = p > 0  # unused input symbols would leave the program without an interior
         res = ea_bound(_classical_embedding(w[:, used]), DensityMatrix(np.diag(p[used])), eps)
     q = _distribution(np.diag(res.optimal_sigma).real)

@@ -223,6 +223,7 @@ def cmd_bound(args) -> int:
     eps_list = parse_eps_list(args.eps)
     n_list = parse_n_list(args.n)
     cls = TestClass(args.cls.upper())
+    rho_file = None if args.rho in ("optimize", "maximally-mixed") else load_state(args.rho)
 
     def work(point):
         n, eps = point
@@ -230,10 +231,7 @@ def cmd_bound(args) -> int:
         if args.rho == "optimize":
             res = bounds.ea_bound_opt_rho(chan_n, eps, cls)
         else:
-            if args.rho == "maximally-mixed":
-                rho = quantum.maximally_mixed(chan_n.dim_in)
-            else:
-                rho = load_state(args.rho)
+            rho = quantum.maximally_mixed(chan_n.dim_in) if rho_file is None else rho_file
             res = bounds.ea_bound(chan_n, rho, eps, cls)
         return Row(n, eps, res.test_class.value, res.beta, res.bits, 0.0)
 
@@ -282,6 +280,8 @@ def cmd_minentropy(args) -> int:
     n = parse_n_list(args.n)[0]
     if args.depol_d:
         res = bounds.depolarising_exact(args.depol_d, args.depol_p, n, eps)
+    elif args.channel is None:
+        raise ValueError("minentropy needs --channel or --depol-d")
     else:
         channel = load_channel(args.channel)
         chan_n = quantum.tensor_power(channel, n) if n > 1 else channel

@@ -5,10 +5,17 @@ A problem holds PSD variable blocks X_k and scalar linear constraints
     minimize    sum_k <C_k, X_k>
     subject to  sum_k <A_ik, X_k>  (=, <=, >=)  b_i,      X_k >= 0,
 
-with the real inner product <A, X> = Re Tr(A† X). Operator equalities and
-inequalities are expressed by the caller as one scalar constraint per
-Hermitian basis element, with explicit PSD slack blocks where needed;
-scalar inequalities are converted to equalities with 1x1 slack blocks
+with the real inner product <A, X> = Re Tr(A† X), and its dual
+
+    maximize    sum_i b_i y_i
+    subject to  C_k - sum_i y_i A_ik >= 0   for every block k.
+
+A program can be stated either way. In the primal form an operator
+equation becomes one scalar row per Hermitian basis element of its space.
+In the dual (LMI) form the rows are the Hermitian coordinates of the
+operator unknowns, and each linear matrix inequality is one block k with
+no rows of its own; the converse programs in ``bounds`` use this form.
+Scalar inequality rows are converted to equalities with 1x1 slack blocks
 inside the solver.
 """
 
@@ -74,7 +81,9 @@ class SdpProblem:
 
         ``terms`` maps a block index to the adjoint of its linear map:
         a callable taking a Hermitian basis element H and returning the
-        coefficient operator L_k†(H) on that block.
+        coefficient operator L_k†(H) on that block. Read on the dual side,
+        the rows are the coordinates y_H of an operator unknown
+        Y = sum_H y_H H, and block k's dual slack gains -L_k†(Y).
         """
         rhs = linalg.require_hermitian(rhs, rtol=1e-10)
         for h in hermitian_basis(rhs.shape[0]):

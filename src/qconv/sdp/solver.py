@@ -10,7 +10,9 @@ Each block stores only the constraint rows that touch it, and the Schur
 matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block into
 those rows. Each Newton system (one for the predictor, one for the
 corrector) is a single dense LU solve of M, with a least-squares fallback
-when M is exactly singular.
+when M is exactly singular. Each matrix is eigendecomposed once per
+iteration for all the powers taken of it, and 1x1 blocks skip LAPACK with
+the same arithmetic.
 
 Every produced iterate is re-symmetrized, so Hermiticity is maintained to
 roundoff. The solve is deterministic for identical input data.
@@ -79,26 +81,37 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(a.conj() * b)))
 
 
+_UNIT = np.ones((1, 1), dtype=complex)
+
+
 def _eigh_clamped(x: np.ndarray, floor_rel: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(linalg.hermitian_part(x))
+    if x.shape == (1, 1):  # a scalar block is its own eigendecomposition
+        w, v = x.real.reshape(1), _UNIT
+    else:
+        w, v = np.linalg.eigh(linalg.hermitian_part(x))
     floor = floor_rel * max(float(w.max()), 1e-300)
     return np.maximum(w, floor), v
 
-def _power(x: np.ndarray, p: float) -> np.ndarray:
+
+def _powers(x: np.ndarray, *ps: float) -> list[np.ndarray]:
+    """x**p for each p, from one eigendecomposition of x."""
     w, v = _eigh_clamped(x)
-    return linalg.hermitian_part((v * w**p) @ v.conj().T)
+    return [linalg.hermitian_part((v * w**p) @ v.conj().T) for p in ps]
+
+
+def _inv_sqrt(x: np.ndarray) -> np.ndarray:
+    w, v = _eigh_clamped(x)
+    return (v * w**-0.5) @ v.conj().T
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
     """NT scaling point W with W S W = X, plus G = W^(1/2) and the scaled
     variable V = G S G (= G^-1 X G^-1) with its eigendecomposition."""
-    s_half = _power(s, 0.5)
-    s_inv_half = _power(s, -0.5)
+    s_half, s_inv_half = _powers(s, 0.5, -0.5)
     inner = linalg.hermitian_part(s_half @ x @ s_half)
-    inner_half = _power(inner, 0.5)
+    (inner_half,) = _powers(inner, 0.5)
     w_mat = linalg.hermitian_part(s_inv_half @ inner_half @ s_inv_half)
-    g = _power(w_mat, 0.5)
-    g_inv = _power(w_mat, -0.5)
+    g, g_inv = _powers(w_mat, 0.5, -0.5)
     v_mat = linalg.hermitian_part(g @ s @ g)
     v_eigs, v_vecs = _eigh_clamped(v_mat)
     return w_mat, g, g_inv, v_eigs, v_vecs
@@ -122,11 +135,32 @@ def _solve_newton(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha dx >= 0 (x > 0)."""
-    w, v = _eigh_clamped(x)
-    inv_half = (v * w**-0.5) @ v.conj().T
-    lam = np.linalg.eigvalsh(linalg.hermitian_part(inv_half @ dx @ inv_half.conj().T))
+def _residuals(sf: _StandardForm, X, S, y, b_scale: float, c_scale: float):
+    """Objectives, residuals and the scaled residual norms of an iterate."""
+    pobj = sum(_inner(c, x) for c, x in zip(sf.C, X))
+    dobj = float(sf.b @ y)
+    rp = sf.b - sf.apply(X)
+    Rd = [c - s - ay for c, s, ay in zip(sf.C, S, sf.adjoint(y))]
+    residuals = {
+        "primal": float(np.linalg.norm(rp)) / b_scale,
+        "dual": float(np.sqrt(sum(float(np.linalg.norm(r)) ** 2 for r in Rd)) / c_scale),
+        "relative_gap": abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+    }
+    return pobj, dobj, rp, Rd, residuals
+
+
+def _meets_contract(residuals: dict) -> bool:
+    """The end-point contract: a mildly degraded but still accurate iterate."""
+    return (residuals["primal"] <= TOL_FEAS and residuals["dual"] <= 10 * TOL_FEAS
+            and residuals["relative_gap"] <= 1e-7)
+
+
+def _max_step(x_inv_half: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha dx >= 0 (x > 0), given x^(-1/2)."""
+    if dx.shape == (1, 1):  # the arithmetic of the general case, without LAPACK
+        lam = x_inv_half.real * dx.real * x_inv_half.real
+    else:
+        lam = np.linalg.eigvalsh(linalg.hermitian_part(x_inv_half @ dx @ x_inv_half.conj().T))
     lam_min = float(lam.min())
     if lam_min >= -1e-14:
         return np.inf
@@ -139,7 +173,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     Status is "optimal" when the relative duality gap and scaled
     primal/dual residuals meet their tolerances, "iteration-limit" when
     progress stops first, and an infeasibility status when the iterates
-    produce a diverging certificate.
+    produce a diverging certificate. A solve that stops without reaching
+    the tolerances returns the last iterate that met the looser end-point
+    contract (``_meets_contract``) as "optimal".
     """
     sf = _StandardForm(problem)
     dims, m = sf.dims, sf.m
@@ -170,19 +206,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     status = "iteration-limit"
     it = 0
+    contract_iterate = None  # the last (X, S, y) that met the end-point contract
     for it in range(1, MAX_ITER + 1):
-        pobj = sum(_inner(c, x) for c, x in zip(sf.C, X))
-        dobj = float(sf.b @ y)
-        rp = sf.b - sf.apply(X)
-        a_y = sf.adjoint(y)
-        Rd = [c - s - ay for c, s, ay in zip(sf.C, S, a_y)]
+        pobj, dobj, rp, Rd, residuals = _residuals(sf, X, S, y, b_scale, c_scale)
         mu = sum(_inner(x, s) for x, s in zip(X, S)) / n_total
-        pres = float(np.linalg.norm(rp)) / b_scale
-        dres = np.sqrt(sum(float(np.linalg.norm(r)) ** 2 for r in Rd)) / c_scale
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if pres <= TOL_FEAS and dres <= TOL_FEAS and rel_gap <= TOL_GAP:
+        if max(residuals["primal"], residuals["dual"]) <= TOL_FEAS \
+                and residuals["relative_gap"] <= TOL_GAP:
             status = "optimal"
             break
+        if _meets_contract(residuals):
+            contract_iterate = X, S, y
         # divergence heuristics for infeasible problems
         if np.linalg.norm(y) > 1e13 * b_scale and dobj > 0:
             status = "primal-infeasible"
@@ -209,8 +242,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # predictor (affine scaling direction)
         dX_a, dS_a, _ = newton([-x for x in X])
-        ap_aff = min(1.0, min(_max_step(x, dx) for x, dx in zip(X, dX_a)))
-        ad_aff = min(1.0, min(_max_step(s, ds) for s, ds in zip(S, dS_a)))
+        X_ih, S_ih = [_inv_sqrt(x) for x in X], [_inv_sqrt(s) for s in S]
+        ap_aff = min(1.0, min(_max_step(x, dx) for x, dx in zip(X_ih, dX_a)))
+        ad_aff = min(1.0, min(_max_step(s, ds) for s, ds in zip(S_ih, dS_a)))
         mu_aff = sum(_inner(x + ap_aff * dx, s + ad_aff * ds)
                      for x, dx, s, ds in zip(X, dX_a, S, dS_a)) / n_total
         sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-10), 1.0) if mu > 0 else 0.1
@@ -230,24 +264,24 @@ def solve(problem: SdpProblem) -> SdpSolution:
             Rc.append(linalg.hermitian_part(g @ rc_hat @ g))
         dX, dS, dy = newton(Rc)
 
-        ap = min(1.0, STEP_FRACTION * min(_max_step(x, dx) for x, dx in zip(X, dX)))
-        ad = min(1.0, STEP_FRACTION * min(_max_step(s, ds) for s, ds in zip(S, dS)))
+        ap = min(1.0, STEP_FRACTION * min(_max_step(x, dx) for x, dx in zip(X_ih, dX)))
+        ad = min(1.0, STEP_FRACTION * min(_max_step(s, ds) for s, ds in zip(S_ih, dS)))
         if not np.isfinite(ap) or not np.isfinite(ad) or ap < 1e-10 or ad < 1e-10:
             break
         X = [linalg.hermitian_part(x + ap * dx) for x, dx in zip(X, dX)]
         S = [linalg.hermitian_part(s + ad * ds) for s, ds in zip(S, dS)]
         y = y + ad * dy
 
-    pobj = sum(_inner(c, x) for c, x in zip(sf.C, X))
-    dobj = float(sf.b @ y)
-    rp = sf.b - sf.apply(X)
-    Rd = [c - s - ay for c, s, ay in zip(sf.C, S, sf.adjoint(y))]
-    pres = float(np.linalg.norm(rp)) / b_scale
-    dres = np.sqrt(sum(float(np.linalg.norm(r)) ** 2 for r in Rd)) / c_scale
-    rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    if status not in ("primal-infeasible", "dual-infeasible"):
-        # accept a mildly degraded but contract-satisfying endpoint
-        if pres <= TOL_FEAS and dres <= 10 * TOL_FEAS and rel_gap <= 1e-7:
+    pobj, dobj, _, _, residuals = _residuals(sf, X, S, y, b_scale, c_scale)
+    if status == "iteration-limit":
+        # accept a mildly degraded endpoint that meets the contract, else the
+        # last iterate that did: late iterates can drift off it once the
+        # Schur matrix is near singular
+        if _meets_contract(residuals):
+            status = "optimal"
+        elif contract_iterate is not None:
+            X, S, y = contract_iterate
+            pobj, dobj, _, _, residuals = _residuals(sf, X, S, y, b_scale, c_scale)
             status = "optimal"
     return SdpSolution(
         primal_blocks=[X[k] for k in range(sf.n_orig)],
@@ -256,5 +290,5 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dual_objective=obj_scale * dobj,
         status=status,
         iterations=it,
-        residuals={"primal": pres, "dual": dres, "relative_gap": rel_gap},
+        residuals=residuals,
     )

@@ -92,9 +92,22 @@ class TestEaBound:
             prod = DensityMatrix(np.kron(rho.mat.T, res.optimal_sigma), atol=1e-8)
             assert quantum_np_beta(joint, prod, 0.1).beta == pytest.approx(res.beta, abs=1e-6)
 
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_program_rows_are_the_lmi_unknowns(self, cls):
+        # rows: the d_ab² coordinates of R, lambda, and the d_a² of an optimised
+        # input; every inequality is a block with no rows of its own
+        chan = tensor_power(DEPOL, 2)
+        ppt_blocks = [16, 16] if cls is TestClass.PPT else []
+        fixed = bounds._ea_problem(chan, 0.05, cls, np.eye(4) / 4)
+        assert len(fixed.constraints) == 256 + 1
+        assert fixed.block_dims == [16, 16, 4, 1] + ppt_blocks
+        optimised = bounds._ea_problem(chan, 0.05, cls, None)
+        assert len(optimised.constraints) == 256 + 1 + 16
+        assert optimised.block_dims == [16, 16, 4, 1] + ppt_blocks + [4, 1]
+
     def test_program_residuals(self):
         # end-to-end feasibility of the assembled program at the solution
-        prob, _, _ = bounds._ea_problem(DEPOL, 0.05, TestClass.ALL, MU2.mat.T)
+        prob = bounds._ea_problem(DEPOL, 0.05, TestClass.ALL, MU2.mat.T)
         sol = sdp.solve(prob)
         report = sdp.verify(prob, sol, feas_tol=1e-8)
         assert report.ok, report.findings
@@ -200,6 +213,19 @@ class TestClassicalConverse:
     def test_non_finite_input_is_rejected(self, w, p):
         with pytest.raises(ValueError):
             classical_converse(w, 0.1, p)
+
+    def test_sums_within_tolerance_are_renormalised(self):
+        # inputs within the 1e-10 check must not fail the Neyman-Pearson
+        # test's 1e-12 sum check after the solve
+        w = np.array([[0.9, 0.2], [0.1, 0.8]])
+        want = classical_converse(w, 0.1, np.array([0.5, 0.5])).bits
+        assert classical_converse(w, 0.1, np.array([0.5, 0.5 + 5e-11])).bits == \
+            pytest.approx(want, abs=1e-6)
+        w_off = w + np.array([[0.0, 0.0], [5e-11, 0.0]])
+        assert classical_converse(w_off, 0.1).bits == \
+            pytest.approx(classical_converse(w, 0.1).bits, abs=1e-6)
+        w_neg = np.array([[1.0 + 1e-13, 0.2], [-1e-13, 0.8]])
+        assert np.isfinite(classical_converse(w_neg, 0.1).bits)
 
     def test_size_limit(self):
         w = np.full((2, 33), 0.5)  # 66 entries

@@ -180,6 +180,21 @@ class TestOtherCommands:
         assert float(fields[4]) == pytest.approx(4.0, abs=1e-3)
         assert float(fields[5]) == pytest.approx(2.0, abs=1e-3)
 
+    def test_bound_state_file_loaded_once(self, tmp_path, monkeypatch):
+        chan = _write_identity_channel(tmp_path / "id.json")
+        state = tmp_path / "rho.json"
+        state.write_text(json.dumps({"dim": 2, "data": _mat_to_pairs(np.eye(2) / 2)}))
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return quantum.maximally_mixed(2)
+
+        monkeypatch.setattr(cli, "load_state", counting_load)
+        assert cli.main(["bound", "--channel", str(chan), "--eps", "0.05,0.1,0.2",
+                         "--rho", str(state), "--out", str(tmp_path / "out.csv")]) == 0
+        assert loads == [str(state)]
+
     def test_classical_command(self, tmp_path, capsys):
         spec = tmp_path / "w.json"
         spec.write_text(json.dumps({"data": [[0.89, 0.11], [0.11, 0.89]]}))
@@ -267,6 +282,9 @@ class TestExitCodes:
             (tmp_path / "p.json").write_text(json.dumps(p))
             argv += ["--p", str(tmp_path / "p.json")]
         assert cli.main(argv) == 2
+
+    def test_minentropy_without_channel_is_2(self):
+        assert cli.main(["minentropy", "--eps", "0.25", "--rate", "30.0"]) == 2
 
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         chan = _write_identity_channel(tmp_path / "id.json")

@@ -206,6 +206,37 @@ class TestSolverContracts:
                 assert np.real(np.sum(hi.conj() * hj)) == pytest.approx(want, abs=1e-14)
 
 
+# the 2 -> 3 channel of the sdp-small benchmark workload at seed 131: at
+# eps = 0.01293 (unrestricted class) the final iterate misses the end-point
+# contract while an earlier one met it
+STALL_KRAUS = [
+    [[-0.22105609532288906 - 0.08623908549992401j, -0.24459242525814434 - 0.10498056926022814j],
+     [-0.33886615511478146 + 0.09364736185012731j, -0.28445136321310704 + 0.029987498573099014j],
+     [0.01864282516013949 - 0.08691541783144865j, 0.1583403152084548 + 0.09495027572993853j]],
+    [[-0.08597268623727587 + 0.04052182703473418j, 0.37450520397576553 + 0.1349965817030086j],
+     [0.02996688115390055 + 0.442690829239721j, 0.20814799021529304 - 0.08467194830268153j],
+     [-0.3327259199506475 + 0.39874932926765355j, 0.35510174143976475 + 0.005963016855227238j]],
+    [[-0.10173213484781957 - 0.3574493189775672j, -0.059485946736576964 - 0.09109951043051749j],
+     [-0.09752975775815276 + 0.0570371377685144j, -0.405296483088527 + 0.06398307437976804j],
+     [0.4015923086243733 - 0.15626865879632357j, 0.049504999659320634 + 0.5436001440912438j]]]
+
+
+class TestLastContractIterate:
+    def test_stalled_solve_returns_last_contract_iterate(self):
+        chan = quantum.QuantumChannel([np.array(k) for k in STALL_KRAUS], atol=1e-8)
+        rho = quantum.maximally_mixed(2)
+        eps = 0.01293
+        prob = bounds._ea_problem(chan, eps, bounds.TestClass.ALL, rho.mat.T)
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert sol.residuals["primal"] <= 1e-8
+        assert sol.residuals["dual"] <= 1e-7
+        assert sol.residuals["relative_gap"] <= 1e-7
+        # the returned iterate is the converse, as the independent dual program says
+        beta = -sol.dual_objective
+        assert beta == pytest.approx(bounds.ea_bound_dual(chan, rho, eps).beta, rel=1e-6)
+
+
 class TestVerify:
     def test_clean_solution_passes(self):
         prob = _scalar_lower_bound_problem()
@@ -228,8 +259,7 @@ class TestVerify:
 def _depol_ppt_program():
     """The n = 2 PPT optimised-input program of the qubit depolarising channel."""
     chan = quantum.tensor_power(quantum.depolarising_channel(2, 0.15), 2)
-    prob, _, _ = bounds._ea_problem(chan, 0.05, bounds.TestClass.PPT, None)
-    return prob
+    return bounds._ea_problem(chan, 0.05, bounds.TestClass.PPT, None)
 
 
 def _dense_constraints(prob, dims):
