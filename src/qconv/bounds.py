@@ -70,13 +70,21 @@ def _result(beta, eps: float, cls: TestClass, n: int = 1, **extra) -> BoundResul
     return BoundResult(bits=bits, beta=beta, epsilon=eps, test_class=cls, n_uses=n, **extra)
 
 
+EPS_MAX = 1.0 - 1e-9  # largest eps an SDP program is solved at
+
+
 def _clamp_eps(eps: float) -> float:
     """The eps an SDP program is solved at. When it differs from the requested
-    eps, ``_ea_result`` records it as ``diagnostics["eps_solved"]``."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    # interior-point programs need strict feasibility at the endpoints
-    return min(max(eps, 1e-9), 1.0 - 1e-9)
+    eps, ``_ea_result`` records it as ``diagnostics["eps_solved"]``.
+
+    Interior-point programs need strict feasibility at the endpoints. Raising
+    eps below 1e-9 to 1e-9 lowers beta, so the reported bits still bound
+    log2 M. Lowering eps above EPS_MAX would raise beta and report fewer bits
+    than the converse, so such eps are rejected instead.
+    """
+    if not 0.0 <= eps <= EPS_MAX:
+        raise ValueError(f"eps must be in [0, {EPS_MAX!r}] for an SDP bound, got {eps}")
+    return max(eps, 1e-9)
 
 
 def _ref_state(rho: DensityMatrix) -> np.ndarray:
@@ -95,6 +103,23 @@ def _solve(problem: sdp.SdpProblem) -> sdp.SdpSolution:
         raise SolverFailure(f"SDP terminated with status {solution.status} after "
                             f"{solution.iterations} iterations (residuals {solution.residuals})")
     return solution
+
+
+MAX_PROGRAM_BYTES = 4 * 2**30  # admits the three-use qubit programs, both classes
+
+
+def _require_size(blocks: list[tuple[int, int]]) -> None:
+    """Reject a program, before any of it is assembled, whose constraint
+    coefficients the solver would store in more than MAX_PROGRAM_BYTES.
+
+    ``blocks`` lists (rows touching the block, block dimension) per block.
+    The solver keeps each such row's d x d coefficients and their conjugate:
+    32 bytes per entry.
+    """
+    need = 32 * sum(rows * d * d for rows, d in blocks)
+    if need > MAX_PROGRAM_BYTES:
+        raise ValueError(f"the program needs {need / 2**30:.1f} GiB of constraint coefficients, "
+                         f"over the {MAX_PROGRAM_BYTES / 2**30:.0f} GiB limit")
 
 
 def _coords_to_operator(y: np.ndarray, d: int) -> np.ndarray:
@@ -120,6 +145,11 @@ def _ea_problem(channel: QuantumChannel, eps: float, cls: TestClass,
     """
     da, db = channel.dim_in, channel.dim_out
     dab = da * db
+    # rows per block: R's coordinates touch all but the input's own blocks,
+    # lambda touches G, an optimised input's coordinates the caps and its blocks
+    r, x = dab * dab, (da * da if rho_ref is None else 0)
+    _require_size([(r, dab), (r + x, dab), (r + 1, db), (r, 1), (x, da), (x, 1)]
+                  + ([(r, dab), (r + x, dab)] if cls is TestClass.PPT else []))
     eye_b = np.eye(db, dtype=complex)
     choi = channel.choi
     prob = sdp.SdpProblem([dab, dab, db, 1])  # _POS, _CAP, _G, _ACC
@@ -206,6 +236,7 @@ def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> Bo
     eps_c = _clamp_eps(eps)
     da, db = channel.dim_in, channel.dim_out
     dab = da * db
+    _require_size([(dab * dab, dab), (dab * dab + 1, db), (dab * dab, 1), (dab * dab, dab)])
     rho_ref = _ref_state(rho)
     prob = sdp.SdpProblem([dab, db, 1, dab])  # F, G, mu, slack
     F, G, MU, S = 0, 1, 2, 3
@@ -278,7 +309,8 @@ def depolarising_exact(d: int, p: float, n: int, eps: float) -> BoundResult:
     By the channel's full unitary and permutation covariance the bound
     reduces to a binary i.i.d. hypothesis test with success weights
     mu = (1-p) + p/d² against lam = 1/d², evaluated by the closed-form
-    binomial expression in O(n) arithmetic.
+    binomial expression. ``binomial_beta`` sums only the terms near the
+    test's threshold: O(sqrt(n b)) of them for b = 136 working bits.
     """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")

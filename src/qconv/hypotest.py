@@ -8,6 +8,7 @@ randomization is recorded, never sampled, so results are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -100,19 +101,88 @@ def classical_np_beta(p0, p1, eps: float) -> TestResult:
                       threshold=threshold, gamma=gamma)
 
 
-def _bernoulli_pmf(q: mp.mpf, n: int) -> list:
-    """Binomial(n, q) weights as mpmath floats, via the term recurrence."""
-    if q == 0:
-        return [mp.mpf(1)] + [mp.mpf(0)] * n
-    if q == 1:
-        return [mp.mpf(0)] * n + [mp.mpf(1)]
-    ratio = q / (1 - q)
-    term = (1 - q) ** n
-    pmf = [term]
-    for j in range(n):
-        term = term * (n - j) * ratio / (j + 1)
-        pmf.append(term)
-    return pmf
+_GUARD = 200  # fixed-point bits kept below the first term of a tail sum
+
+
+def _term(q: mp.mpf, n: int, j: int) -> mp.mpf:
+    """P(X = j) for X ~ Binomial(n, q), at the working precision."""
+    return mp.mpf(math.comb(n, j)) * q**j * (1 - q) ** (n - j)
+
+
+def _below(a: int, c: int, n: int, ell: int) -> int:
+    """P(X < ell) / P(X = ell) in units of 2^-_GUARD, for X ~ Binomial(n, a / (a + c)).
+
+    Sums t_{j-1} = t_j * j c / ((n - j + 1) a) downward from ell, in exact
+    integer arithmetic apart from one floor per term, and stops once the
+    terms decrease and one falls below the working precision of the sum.
+    """
+    term, total = 1 << _GUARD, 0
+    prec = mp.mp.prec
+    for j in range(ell, 0, -1):
+        num, den = j * c, (n - j + 1) * a
+        term = term * num // den
+        total += term
+        if num < den and term << prec < total:
+            break
+    return total
+
+
+def _above(a: int, c: int, n: int, ell: int) -> int:
+    """P(X >= ell) / P(X = ell) in units of 2^-_GUARD, for X ~ Binomial(n, a / (a + c)):
+    ``_below`` mirrored, summing t_{j+1} = t_j * (n - j) a / ((j + 1) c) upward."""
+    term = total = 1 << _GUARD
+    prec = mp.mp.prec
+    for j in range(ell, n):
+        num, den = (n - j) * a, (j + 1) * c
+        term = term * num // den
+        total += term
+        if num < den and term << prec < total:
+            break
+    return total
+
+
+def _quantile_guess(mu: float, n: int, eps: float) -> int:
+    """The eps-quantile of Binomial(n, mu) by the normal approximation, with
+    continuity and skewness corrections; the inverse normal is Abramowitz &
+    Stegun 26.2.23 (absolute error below 4.5e-4)."""
+    t = math.sqrt(-2.0 * math.log(min(eps, 1.0 - eps)))
+    z = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) \
+        / (1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t**3)
+    z = z if eps > 0.5 else -z
+    x = n * mu + z * math.sqrt(n * mu * (1.0 - mu)) + (z * z - 1.0) * (1.0 - 2.0 * mu) / 6.0
+    return min(max(math.ceil(x - 0.5), 0), n)
+
+
+def _threshold(mu: float, n: int, eps: float) -> tuple[int, mp.mpf, mp.mpf]:
+    """The smallest l with alpha_{l+1} >= eps, with alpha_l and P(X = l), for
+    X ~ Binomial(n, mu), 0 < mu < 1 and 0 < eps < 1.
+
+    From the guessed l, alpha_l is summed in fixed point relative to P(X = l)
+    and l moves by the exact term ratio until alpha_l < eps <= alpha_{l+1}.
+    If it moved, the sum restarts from the new l, so the returned values
+    carry the full precision however far off the guess was.
+    """
+    a, b = float(mu).as_integer_ratio()  # mu = a / b and 1 - mu = c / b exactly
+    c = b - a
+    meps = mp.mpf(eps)
+    ell = _quantile_guess(mu, n, eps)
+    for _ in range(2):
+        start = ell
+        first = _term(mp.mpf(mu), n, ell)
+        # alpha_l = below * unit, P(X = l) = term * unit, eps = need * unit (rounded up)
+        unit = first / (1 << _GUARD)
+        below, term, need = _below(a, c, n, ell), 1 << _GUARD, int(mp.ceil(meps / unit))
+        while below + term < need and ell < n:
+            below += term
+            term = term * (n - ell) * a // ((ell + 1) * c)
+            ell += 1
+        while below >= need and ell > 0:
+            term = term * ell * c // ((n - ell + 1) * a)
+            ell -= 1
+            below -= term
+        if ell == start:
+            break
+    return ell, below * unit, term * unit
 
 
 def binomial_beta(mu: float, lam: float, n: int, eps: float) -> TestResult:
@@ -120,11 +190,18 @@ def binomial_beta(mu: float, lam: float, n: int, eps: float) -> TestResult:
 
     Evaluates the closed form beta = (1-gamma) beta_l + gamma beta_{l+1}
     with binomial tails alpha_l = sum_{j<l} C(n,j) mu^j (1-mu)^(n-j) and
-    beta_l = sum_{j>=l} C(n,j) lam^j (1-lam)^(n-j), where l satisfies
-    alpha_l <= eps <= alpha_{l+1} and gamma = (eps - alpha_l) /
-    (alpha_{l+1} - alpha_l) interpolates to hit eps exactly. Computed with
-    mpmath so the relative error stays below 1e-12 up to n = 10000 even
-    when the tails underflow float64.
+    beta_l = sum_{j>=l} C(n,j) lam^j (1-lam)^(n-j), where l is the smallest
+    index with eps <= alpha_{l+1} and gamma = (eps - alpha_l) /
+    (alpha_{l+1} - alpha_l) interpolates to hit eps exactly.
+
+    Only the terms near the threshold are summed. l is guessed from the
+    normal approximation and corrected by the term ratio; each tail then
+    starts from one 40-digit term at l and runs outward, past the mode,
+    until a term falls below the working precision (b = 136 bits) of the
+    partial sum: O(sqrt(n b)) terms instead of 2(n + 1). mu and 1 - mu are
+    exact dyadic rationals, so the term ratios are exact and the sums are
+    kept as integers with 200 bits below their first term. beta keeps far
+    more than 1e-12 relative accuracy, also where it underflows float64.
     """
     if not 0.0 <= lam <= mu <= 1.0:
         raise ValueError(f"need 0 <= lam <= mu <= 1, got mu={mu}, lam={lam}")
@@ -132,27 +209,24 @@ def binomial_beta(mu: float, lam: float, n: int, eps: float) -> TestResult:
         raise ValueError("n must be >= 1")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
+    if eps == 0.0:  # accept everything
+        return TestResult(beta=mp.mpf(1), alpha=0.0, threshold=0.0, gamma=0.0)
+    if eps == 1.0:  # reject everything: the top of mu's support, fully randomized
+        return TestResult(beta=mp.mpf(0), alpha=1.0, threshold=float(n if mu > 0 else 0),
+                          gamma=1.0)
     with mp.workdps(40):
         meps = mp.mpf(eps)
-        pmf_mu = _bernoulli_pmf(mp.mpf(mu), n)
-        pmf_lam = _bernoulli_pmf(mp.mpf(lam), n)
-        # smallest l with alpha_l <= eps <= alpha_{l+1}
-        ell = 0
-        alpha_ell = mp.mpf(0)
-        while ell <= n:
-            alpha_next = alpha_ell + pmf_mu[ell]
-            if alpha_next >= meps:
-                break
-            alpha_ell = alpha_next
-            ell += 1
-        if ell > n:
-            ell = n
-            alpha_ell = sum(pmf_mu[:n])
-        step = pmf_mu[ell]
-        gamma = (meps - alpha_ell) / step if step > 0 else mp.mpf(0)
-        gamma = min(max(gamma, mp.mpf(0)), mp.mpf(1))
-        beta_ell = sum(pmf_lam[ell:])
-        beta_next = beta_ell - pmf_lam[ell]
+        if mu in (0.0, 1.0):  # a point mass at n * mu
+            ell, alpha_ell, step = round(n * mu), mp.mpf(0), mp.mpf(1)
+        else:
+            ell, alpha_ell, step = _threshold(mu, n, eps)
+        gamma = min(max((meps - alpha_ell) / step, mp.mpf(0)), mp.mpf(1))
+        # lam = 1 forces mu = 1 and l = n, where _above sums nothing
+        a, b = float(lam).as_integer_ratio()
+        unit = _term(mp.mpf(lam), n, ell) / (1 << _GUARD)
+        above = _above(a, b - a, n, ell)
+        beta_ell = above * unit
+        beta_next = (above - (1 << _GUARD)) * unit
         beta = (1 - gamma) * beta_ell + gamma * beta_next
         beta = min(max(beta, mp.mpf(0)), mp.mpf(1))
         return TestResult(beta=beta, alpha=eps, threshold=float(ell), gamma=float(gamma))

@@ -2,13 +2,15 @@
 
 Everything here avoids the code paths it is used to check: the classical
 test search enumerates accept-sets directly instead of sorting by
-likelihood ratio, and the binomial expansion builds explicit product
-distributions.
+likelihood ratio, the binomial expansion builds explicit product
+distributions, and the binomial test sums every term of both tails.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb, inf
 
+import mpmath as mp
 import numpy as np
 
 
@@ -42,6 +44,32 @@ def exhaustive_np_beta(p0, p1, eps: float) -> float:
 
 def binomial_count_distribution(q: float, n: int) -> np.ndarray:
     return np.array([comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range(n + 1)])
+
+
+@lru_cache(maxsize=None)
+def _binomial_pmf(q: float, n: int, dps: int) -> tuple:
+    with mp.workdps(dps):
+        mq = mp.mpf(q)
+        return tuple(mp.binomial(n, j) * mq**j * (1 - mq) ** (n - j) for j in range(n + 1))
+
+
+def binomial_np_reference(mu: float, lam: float, n: int, eps: float, dps: int = 60):
+    """(threshold, beta) of the Neyman-Pearson test between n-fold Bernoulli(mu)
+    and Bernoulli(lam), from full tail sums of ``mp.binomial`` terms.
+
+    The threshold is the smallest l with P_mu(X <= l) >= eps; the boundary
+    term is randomized so the type-I error is exactly eps.
+    """
+    p_mu, p_lam = _binomial_pmf(mu, n, dps), _binomial_pmf(lam, n, dps)
+    with mp.workdps(dps):
+        m_eps = mp.mpf(eps)
+        ell, alpha = 0, mp.mpf(0)
+        while ell < n and alpha + p_mu[ell] < m_eps:
+            alpha += p_mu[ell]
+            ell += 1
+        gamma = min(max((m_eps - alpha) / p_mu[ell], 0), 1) if p_mu[ell] > 0 else 0
+        beta = mp.fsum(p_lam[ell:]) - gamma * p_lam[ell]
+        return ell, beta
 
 
 def product_distribution(q: float, n: int) -> np.ndarray:

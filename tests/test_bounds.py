@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,6 +113,74 @@ class TestEaBound:
         sol = sdp.solve(prob)
         report = sdp.verify(prob, sol, feas_tol=1e-8)
         assert report.ok, report.findings
+
+
+def _stored_bytes(prob: sdp.SdpProblem) -> int:
+    form = sdp.solver._StandardForm(prob)
+    return sum(a.nbytes + c.nbytes for a, c in zip(form.A, form.A_conj))
+
+
+_PROGRAMS = {
+    "all": lambda ch: ea_bound(ch, maximally_mixed(ch.dim_in), 0.05),
+    "ppt": lambda ch: ea_bound(ch, maximally_mixed(ch.dim_in), 0.05, TestClass.PPT),
+    "all-opt": lambda ch: ea_bound_opt_rho(ch, 0.05),
+    "ppt-opt": lambda ch: ea_bound_opt_rho(ch, 0.05, TestClass.PPT),
+    "dual": lambda ch: ea_bound_dual(ch, maximally_mixed(ch.dim_in), 0.05),
+}
+
+
+class TestProgramLimits:
+    def test_eps_near_one_is_rejected(self):
+        # solving at 1 - 1e-9 instead would raise beta and understate the bound
+        eps = 1.0 - 1e-12
+        for bound in (lambda: ea_bound(DEPOL, MU2, eps), lambda: ea_bound_dual(DEPOL, MU2, eps),
+                      lambda: ea_bound_opt_rho(DEPOL, eps),
+                      lambda: classical_converse(np.eye(2), eps)):
+            with pytest.raises(ValueError, match="eps"):
+                bound()
+
+    @pytest.mark.parametrize("name", sorted(_PROGRAMS))
+    def test_size_estimate_is_the_solver_storage(self, monkeypatch, name):
+        probs = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
+        _PROGRAMS[name](DEPOL)
+        # the solver adds a 1x1 slack block, 32 bytes, per scalar inequality row
+        need = _stored_bytes(probs[0]) - 32 * sum(c.sense != "==" for c in probs[0].constraints)
+        monkeypatch.setattr(bounds, "MAX_PROGRAM_BYTES", need)
+        _PROGRAMS[name](DEPOL)
+        monkeypatch.setattr(bounds, "MAX_PROGRAM_BYTES", need - 1)
+        with pytest.raises(ValueError, match="GiB"):
+            _PROGRAMS[name](DEPOL)
+
+    def test_three_uses_are_admitted(self, monkeypatch):
+        # about 1.0 GiB (ALL) and 2.0 GiB (PPT); stop after the check, before assembly
+        class Admitted(Exception):
+            pass
+
+        check = bounds._require_size
+
+        def check_then_stop(blocks):
+            check(blocks)
+            raise Admitted
+
+        monkeypatch.setattr(bounds, "_require_size", check_then_stop)
+        chan = tensor_power(DEPOL, 3)
+        for name in _PROGRAMS:
+            with pytest.raises(Admitted):
+                _PROGRAMS[name](chan)
+
+    def test_four_uses_are_rejected_before_allocating(self):
+        chan = tensor_power(DEPOL, 4)  # about 257 GiB of coefficients
+        tracemalloc.start()
+        try:
+            for name in _PROGRAMS:
+                with pytest.raises(ValueError, match="GiB"):
+                    _PROGRAMS[name](chan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEaBoundDual:

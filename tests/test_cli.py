@@ -242,6 +242,12 @@ class TestExitCodes:
         assert cli.main(["depol", "--d", "2", "--p", "2.0", "--eps", "0.05",
                          "--n", "1"]) == 2
 
+    @pytest.mark.parametrize("extra", [["--eps", "0.9999999999"], ["--eps", "0.05", "--n", "4"]])
+    def test_unsupported_bound_is_2(self, tmp_path, extra):
+        # eps above 1 - 1e-9; four uses need about 257 GiB of coefficients
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        assert cli.main(["bound", "--channel", str(chan), *extra]) == 2
+
     @pytest.mark.parametrize("rep,data", [
         ("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0]),
         ("kraus", [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])])

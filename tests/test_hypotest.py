@@ -1,15 +1,20 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import rand_state, rand_unitary
-from oracles import (binomial_count_distribution, exhaustive_np_beta,
-                     product_distribution)
+from oracles import (binomial_count_distribution, binomial_np_reference,
+                     exhaustive_np_beta, product_distribution)
 from qconv import sdp
 from qconv.hypotest import binomial_beta, classical_np_beta, quantum_np_beta
 from qconv.quantum import DensityMatrix, maximally_mixed
 
 DEPOL_MU, DEPOL_LAM = 0.8875, 0.25
+# the depolarising pair and two random ones with lam < mu
+ORACLE_PAIRS = [(DEPOL_MU, DEPOL_LAM)] + [
+    tuple(float(q) for q in sorted(np.random.default_rng(seed).random(2), reverse=True))
+    for seed in (1, 2)]
 
 
 class TestClassicalNp:
@@ -91,6 +96,36 @@ class TestBinomial:
             oracle = exhaustive_np_beta(binomial_count_distribution(mu, n),
                                         binomial_count_distribution(lam, n), eps)
             assert float(binomial_beta(mu, lam, n, eps).beta) == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 300, 3000])
+    def test_matches_full_tail_oracle(self, n):
+        # the oracle sums every term of both tails at 60 digits
+        for mu, lam in ORACLE_PAIRS:
+            for eps in (1e-300, 1e-12, 1e-6, 1e-3, 0.3, 0.5, 0.9, 0.999999):
+                ell, want = binomial_np_reference(mu, lam, n, eps)
+                got = binomial_beta(mu, lam, n, eps)
+                assert got.threshold == ell, (mu, lam, eps)
+                assert abs(got.beta - want) <= 1e-12 * want, (mu, lam, eps)
+
+    @pytest.mark.parametrize("mu,lam,n,eps,want", [
+        (0.6, 0.6, 5, 0.3, 0.7),  # mu = lam: beta = 1 - eps
+        (1.0, 0.3, 3, 0.2, 0.8 * 0.3**3),  # mu a point mass at n
+        (1.0, 1.0, 3, 0.2, 0.8),
+        (0.0, 0.0, 3, 0.2, 0.8),  # both point masses at 0
+        (0.5, 0.0, 1, 0.2, 0.6),  # lam a point mass at 0
+        (0.5, 0.0, 1, 0.7, 0.0),
+        (0.7, 0.3, 4, 0.0, 1.0),  # eps = 0 accepts everything
+        (0.7, 0.3, 4, 1.0, 0.0),  # eps = 1 rejects everything
+        (1.0, 0.3, 4, 1.0, 0.0)])
+    def test_degenerate_cases(self, mu, lam, n, eps, want):
+        assert float(binomial_beta(mu, lam, n, eps).beta) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_hundred_thousand_uses(self):
+        res = binomial_beta(DEPOL_MU, DEPOL_LAM, 100_000, 0.01)
+        assert mp.isfinite(res.beta) and res.beta > 0
+        stein = DEPOL_MU * np.log2(DEPOL_MU / DEPOL_LAM) \
+            + (1 - DEPOL_MU) * np.log2((1 - DEPOL_MU) / (1 - DEPOL_LAM))
+        assert abs(res.bits() / 100_000 - stein) < 0.1
 
     def test_stein_rate_close_to_relative_entropy(self):
         res = binomial_beta(DEPOL_MU, DEPOL_LAM, 1000, 0.01)
