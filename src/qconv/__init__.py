@@ -1,9 +1,9 @@
 """Finite-blocklength converse bounds for classical coding over quantum channels."""
 
-from .bounds import (BoundResult, SolverFailure, TestClass, average_state, binary_entropy,
+from .bounds import (BoundResult, SolverFailure, TestClass, binary_entropy,
                      binary_relative_entropy, classical_converse, depolarising_exact,
                      ea_bound, ea_bound_dual, ea_bound_opt_rho, fano_bound,
-                     noisy_storage_minentropy, verify_covariance, wang_renner_chi)
+                     noisy_storage_minentropy, wang_renner_chi)
 from .hypotest import TestResult, binomial_beta, classical_np_beta, quantum_np_beta
 from .quantum import (Code, DensityMatrix, QuantumChannel, apply_channel,
                       apply_channel_second, canonical_purification, channel_from_choi,

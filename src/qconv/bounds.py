@@ -105,23 +105,6 @@ def _solve(problem: sdp.SdpProblem) -> sdp.SdpSolution:
     return solution
 
 
-MAX_PROGRAM_BYTES = 4 * 2**30  # admits the three-use qubit programs, both classes
-
-
-def _require_size(blocks: list[tuple[int, int]]) -> None:
-    """Reject a program, before any of it is assembled, whose constraint
-    coefficients the solver would store in more than MAX_PROGRAM_BYTES.
-
-    ``blocks`` lists (rows touching the block, block dimension) per block.
-    The solver keeps each such row's d x d coefficients and their conjugate:
-    32 bytes per entry.
-    """
-    need = 32 * sum(rows * d * d for rows, d in blocks)
-    if need > MAX_PROGRAM_BYTES:
-        raise ValueError(f"the program needs {need / 2**30:.1f} GiB of constraint coefficients, "
-                         f"over the {MAX_PROGRAM_BYTES / 2**30:.0f} GiB limit")
-
-
 def _coords_to_operator(y: np.ndarray, d: int) -> np.ndarray:
     """The Hermitian operator with coordinates ``y`` in ``sdp.hermitian_basis(d)``."""
     return sum(yi * h for yi, h in zip(y, sdp.hermitian_basis(d)))
@@ -141,15 +124,12 @@ def _ea_problem(channel: QuantumChannel, eps: float, cls: TestClass,
     b·y = -lambda), then, with ``rho_ref is None``, the coordinates of the
     variable input rho_ref. Each inequality is one PSD block of the
     solver's primal, whose dual slack is C_k - sum_i y_i A_ik; no block
-    has rows of its own.
+    has rows of its own. The R rows are declared first, so that a program
+    over ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected before any
+    coefficient or d_ab x d_ab objective is built.
     """
     da, db = channel.dim_in, channel.dim_out
     dab = da * db
-    # rows per block: R's coordinates touch all but the input's own blocks,
-    # lambda touches G, an optimised input's coordinates the caps and its blocks
-    r, x = dab * dab, (da * da if rho_ref is None else 0)
-    _require_size([(r, dab), (r + x, dab), (r + 1, db), (r, 1), (x, da), (x, 1)]
-                  + ([(r, dab), (r + x, dab)] if cls is TestClass.PPT else []))
     eye_b = np.eye(db, dtype=complex)
     choi = channel.choi
     prob = sdp.SdpProblem([dab, dab, db, 1])  # _POS, _CAP, _G, _ACC
@@ -158,17 +138,17 @@ def _ea_problem(channel: QuantumChannel, eps: float, cls: TestClass,
                _CAP: lambda h: h,
                _G: lambda h: linalg.partial_trace(h, (da, db), "a"),
                _ACC: lambda h: -np.real(np.sum(choi.conj() * h)) * np.eye(1)}
-    prob.set_objective(_ACC, [[-(1.0 - eps)]])
     if cls is TestClass.PPT:
         # R^{T_B} >= 0 and rho_ref ⊗ I - R^{T_B} >= 0 in the same R rows
         ppt, ppt_cap = prob.add_block(dab), prob.add_block(dab)
         caps.append(ppt_cap)
         r_terms[ppt] = lambda h: -linalg.partial_transpose(h, (da, db), "b")
         r_terms[ppt_cap] = lambda h: linalg.partial_transpose(h, (da, db), "b")
+    prob.add_operator_equality(r_terms, np.zeros((dab, dab)))
+    prob.set_objective(_ACC, [[-(1.0 - eps)]])
     if rho_ref is not None:
         for k in caps:
             prob.set_objective(k, np.kron(rho_ref, eye_b))
-    prob.add_operator_equality(r_terms, np.zeros((dab, dab)))
     # the lambda row, y = -lambda: "<=" keeps lambda >= 0, and Tr G <= 1 on the primal side
     prob.add_constraint({_G: eye_b}, 1.0, "<=")
     if rho_ref is None:
@@ -236,12 +216,8 @@ def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> Bo
     eps_c = _clamp_eps(eps)
     da, db = channel.dim_in, channel.dim_out
     dab = da * db
-    _require_size([(dab * dab, dab), (dab * dab + 1, db), (dab * dab, 1), (dab * dab, dab)])
-    rho_ref = _ref_state(rho)
     prob = sdp.SdpProblem([dab, db, 1, dab])  # F, G, mu, slack
     F, G, MU, S = 0, 1, 2, 3
-    prob.set_objective(F, np.kron(rho_ref, np.eye(db, dtype=complex)))
-    prob.set_objective(MU, [[-(1.0 - eps_c)]])
     choi = channel.choi
     prob.add_operator_equality(
         {G: lambda h: linalg.partial_trace(h, (da, db), "a"),
@@ -250,6 +226,8 @@ def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> Bo
          S: lambda h: -h},
         np.zeros((dab, dab)))
     prob.add_constraint({G: np.eye(db, dtype=complex)}, 1.0, "<=")
+    prob.set_objective(F, np.kron(_ref_state(rho), np.eye(db, dtype=complex)))
+    prob.set_objective(MU, [[-(1.0 - eps_c)]])
     solution = _solve(prob)
     diagnostics = dict(solution.residuals, iterations=solution.iterations,
                        dual_objective=-solution.dual_objective)
@@ -417,45 +395,6 @@ def wang_renner_chi(ensemble: list[tuple[float, DensityMatrix]],
                              DensityMatrix(linalg.hermitian_part(tau_prod)), eps)
     beta = max(float(result.beta), 1e-300)
     return float(-np.log2(beta))
-
-
-def average_state(rho: DensityMatrix, unitaries: list[np.ndarray],
-                  weights: list[float]) -> DensityMatrix:
-    """Group-average sum_g w_g U_g rho U_g† over a finite set of unitaries."""
-    if len(unitaries) != len(weights):
-        raise ValueError("need one weight per unitary")
-    wts = np.array([float(x) for x in weights])
-    if wts.min() < 0 or abs(wts.sum() - 1.0) > 1e-10:
-        raise ValueError("weights must form a distribution")
-    total = np.zeros_like(rho.mat)
-    for u, wt in zip(unitaries, wts):
-        u = linalg.require_matrix(u)
-        if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
-            raise ValueError("averaging element is not unitary")
-        total += wt * (u @ rho.mat @ u.conj().T)
-    return DensityMatrix(linalg.hermitian_part(total))
-
-
-def verify_covariance(channel: QuantumChannel, u: np.ndarray, v: np.ndarray,
-                      atol: float = 1e-8) -> bool:
-    """Check E(U x U†) = V E(x) V† on a spanning set of matrix units."""
-    u = linalg.require_matrix(u)
-    v = linalg.require_matrix(v)
-    if u.shape != (channel.dim_in,) * 2 or v.shape != (channel.dim_out,) * 2:
-        raise ValueError("covariance unitaries must match the channel dimensions")
-    for mat, name in ((u, "input"), (v, "output")):
-        if np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() > 1e-10:
-            raise ValueError(f"{name} element is not unitary")
-    da = channel.dim_in
-    for i in range(da):
-        for j in range(da):
-            unit = np.zeros((da, da), dtype=complex)
-            unit[i, j] = 1.0
-            lhs = channel.apply_mat(u @ unit @ u.conj().T)
-            rhs = v @ channel.apply_mat(unit) @ v.conj().T
-            if np.abs(lhs - rhs).max() > atol:
-                return False
-    return True
 
 
 def noisy_storage_minentropy(code_rate_bits: float, bound: BoundResult) -> float:

@@ -57,11 +57,19 @@ def _parse_matrix(data, rows: int, cols: int) -> np.ndarray:
     return np.array([[_parse_complex_entry(e) for e in row] for row in data])
 
 
+def _dimension(value, what: str) -> int:
+    """A JSON dimension as an int: an integral number, not a bool or a fraction."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{what} must be an integral number, got {value!r}")
+    return int(value)
+
+
 def parse_channel(spec: dict) -> quantum.QuantumChannel:
     """Build a channel from the JSON schema {dimIn, dimOut, representation, data}."""
     try:
-        dim_in = int(spec["dimIn"])
-        dim_out = int(spec["dimOut"])
+        dim_in = _dimension(spec["dimIn"], "dimIn")
+        dim_out = _dimension(spec["dimOut"], "dimOut")
         rep = spec["representation"]
         data = spec["data"]
     except (KeyError, TypeError) as exc:
@@ -104,10 +112,7 @@ def load_channel(path: str) -> quantum.QuantumChannel:
 
 def load_state(path: str) -> quantum.DensityMatrix:
     spec = _load_object(path)
-    try:
-        d = int(spec["dim"])
-    except TypeError as exc:
-        raise ValueError("state dim must be an integer") from exc
+    d = _dimension(spec["dim"], "state dim")
     return quantum.DensityMatrix(_parse_matrix(spec["data"], d, d), atol=1e-8)
 
 
@@ -143,8 +148,10 @@ def parse_n_list(text: str) -> list[int]:
         if not tok:
             continue
         if ".." in tok:
-            a, b = tok.split("..")
-            out.extend(range(int(a), int(b) + 1))
+            a, b = (int(x) for x in tok.split(".."))
+            if b < a:
+                raise ValueError(f"n range {tok!r} ends below its start")
+            out.extend(range(a, b + 1))
         else:
             out.append(int(tok))
     if not out or min(out) < 1:

@@ -232,8 +232,11 @@ def binomial_beta(mu: float, lam: float, n: int, eps: float) -> TestResult:
         return TestResult(beta=beta, alpha=eps, threshold=float(ell), gamma=float(gamma))
 
 
-def quantum_np_beta(tau0: DensityMatrix, tau1: DensityMatrix, eps: float,
-                    max_iter: int = 200, alpha_tol: float = 1e-13) -> TestResult:
+BISECT_MAX_ITER = 200  # bisection steps of quantum_np_beta's threshold
+BISECT_ALPHA_TOL = 1e-13  # type-I error bracket at which the bisection stops
+
+
+def quantum_np_beta(tau0: DensityMatrix, tau1: DensityMatrix, eps: float) -> TestResult:
     """Minimal type-II error between two quantum states over unrestricted tests.
 
     Bisects the threshold t of the spectral test: accept on the strictly
@@ -272,8 +275,8 @@ def quantum_np_beta(tau0: DensityMatrix, tau1: DensityMatrix, eps: float,
         alpha = 1.0 - float(np.trace(accept @ a0).real)
         return TestResult(beta=0.0, alpha=alpha, threshold=np.inf, gamma=0.0)
 
-    for _ in range(max_iter):
-        if alpha_hi - alpha_lo < alpha_tol or (hi - lo) < 1e-16 * (1.0 + hi):
+    for _ in range(BISECT_MAX_ITER):
+        if alpha_hi - alpha_lo < BISECT_ALPHA_TOL or (hi - lo) < 1e-16 * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi)
         am = strict_alpha(mid)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 HERM_RTOL = 1e-12
+SUPPORT_RTOL = 1e-12  # eigenvalues below this fraction of the largest count as kernel
 
 
 def require_matrix(x: np.ndarray) -> np.ndarray:
@@ -90,29 +91,30 @@ def eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(x)
 
 
-def herm_sqrt(x: np.ndarray, clip: float = 0.0) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, clipping eigenvalues below ``clip``."""
+def herm_sqrt(x: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix, clipping negative eigenvalues to zero."""
     w, v = eigh(x)
-    w = np.maximum(w, clip)
+    w = np.maximum(w, 0.0)
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 
-def herm_inv_sqrt(x: np.ndarray, cutoff_rtol: float = 1e-12) -> np.ndarray:
+def herm_inv_sqrt(x: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a PSD matrix on its support.
 
-    Eigenvalues below ``cutoff_rtol`` times the largest eigenvalue are
+    Eigenvalues below SUPPORT_RTOL times the largest eigenvalue are
     treated as kernel and inverted to zero.
     """
     w, v = eigh(x)
     wmax = max(w.max(), 0.0) if w.size else 0.0
-    inv = np.where(w > cutoff_rtol * wmax, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+    inv = np.where(w > SUPPORT_RTOL * wmax, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     return hermitian_part((v * inv) @ v.conj().T)
 
 
-def support_projector(x: np.ndarray, cutoff_rtol: float = 1e-12) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
+def support_projector(x: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the support (range) of a PSD matrix,
+    with the kernel cutoff of ``herm_inv_sqrt``."""
     w, v = eigh(x)
     wmax = max(w.max(), 0.0) if w.size else 0.0
-    keep = w > cutoff_rtol * wmax
+    keep = w > SUPPORT_RTOL * wmax
     vk = v[:, keep]
     return hermitian_part(vk @ vk.conj().T)

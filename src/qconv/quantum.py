@@ -15,6 +15,7 @@ import numpy as np
 from . import linalg
 
 STATE_ATOL = 1e-10
+MAX_TENSOR_DIM = 1024  # largest input or output dimension tensor_power builds
 
 
 class DensityMatrix:
@@ -62,7 +63,7 @@ def canonical_purification(rho: DensityMatrix) -> DensityMatrix:
     (reference) marginal is ``rho.T``.
     """
     d = rho.dim
-    root = linalg.herm_sqrt(rho.mat, clip=0.0)
+    root = linalg.herm_sqrt(rho.mat)
     side = np.kron(np.eye(d, dtype=complex), root)
     return DensityMatrix(linalg.hermitian_part(side @ max_entangled_op(d) @ side))
 
@@ -205,12 +206,12 @@ def tensor_channels(e1: QuantumChannel, e2: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(kraus)
 
 
-def tensor_power(channel: QuantumChannel, n: int, max_dim: int = 1024) -> QuantumChannel:
+def tensor_power(channel: QuantumChannel, n: int) -> QuantumChannel:
     """n-fold parallel composition of a channel with itself."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if channel.dim_in**n > max_dim or channel.dim_out**n > max_dim:
-        raise ValueError(f"tensor power dimension exceeds cap {max_dim}")
+    if channel.dim_in**n > MAX_TENSOR_DIM or channel.dim_out**n > MAX_TENSOR_DIM:
+        raise ValueError(f"tensor power dimension exceeds cap {MAX_TENSOR_DIM}")
     out = channel
     for _ in range(n - 1):
         out = tensor_channels(out, channel)
@@ -233,7 +234,7 @@ def mutual_information(channel: QuantumChannel, rho: DensityMatrix) -> float:
     """
     if rho.dim != channel.dim_in:
         raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
-    side = np.kron(linalg.herm_sqrt(rho.mat, clip=0.0).T, np.eye(channel.dim_out))
+    side = np.kron(linalg.herm_sqrt(rho.mat).T, np.eye(channel.dim_out))
     joint = DensityMatrix(linalg.hermitian_part(side @ channel.choi @ side))
     value = (von_neumann_entropy(rho)
              + von_neumann_entropy(apply_channel(channel, rho))

@@ -17,6 +17,10 @@ operator unknowns, and each linear matrix inequality is one block k with
 no rows of its own; the converse programs in ``bounds`` use this form.
 Scalar inequality rows are converted to equalities with 1x1 slack blocks
 inside the solver.
+
+A problem counts, as its rows are declared, the coefficient bytes it will
+hold during a solve, and rejects rows that would take the program over
+MAX_PROGRAM_BYTES before building any of their coefficients.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from .. import linalg
 
 SENSES = ("==", "<=", ">=")
+MAX_PROGRAM_BYTES = 4 * 2**30  # admits the three-use qubit programs, both classes
 
 
 @dataclass
@@ -40,7 +45,14 @@ class LinearConstraint:
 
 
 class SdpProblem:
-    """Container and validator for a block-diagonal Hermitian SDP."""
+    """Container and validator for a block-diagonal Hermitian SDP.
+
+    ``coefficient_bytes`` is what the declared rows will hold during a
+    solve. Each d x d complex coefficient is held twice, 32 bytes per
+    entry: as the row's own copy here and in the solver's per-block stack.
+    The solver also gives each inequality row a 1x1 slack coefficient,
+    16 bytes.
+    """
 
     def __init__(self, block_dims: list[int]):
         if not block_dims or any(int(d) < 1 for d in block_dims):
@@ -48,6 +60,7 @@ class SdpProblem:
         self.block_dims = [int(d) for d in block_dims]
         self.objective: dict[int, np.ndarray] = {}
         self.constraints: list[LinearConstraint] = []
+        self.coefficient_bytes = 0
 
     def add_block(self, dim: int) -> int:
         if dim < 1:
@@ -55,11 +68,24 @@ class SdpProblem:
         self.block_dims.append(int(dim))
         return len(self.block_dims) - 1
 
-    def _check_coeff(self, k: int, a) -> np.ndarray:
+    def _dim(self, k: int) -> int:
         if not 0 <= k < len(self.block_dims):
             raise ValueError(f"unknown block index {k}")
+        return self.block_dims[k]
+
+    def _admit(self, rows: int, blocks, sense: str) -> None:
+        """Count ``rows`` more rows with coefficients on ``blocks``; reject the
+        program, before any of them is built, if it would pass MAX_PROGRAM_BYTES."""
+        per_row = 32 * sum(self._dim(k) ** 2 for k in blocks) + (16 if sense != "==" else 0)
+        need = self.coefficient_bytes + rows * per_row
+        if need > MAX_PROGRAM_BYTES:
+            raise ValueError(f"the program needs {need / 2**30:.1f} GiB of constraint "
+                             f"coefficients, over the {MAX_PROGRAM_BYTES / 2**30:.0f} GiB limit")
+        self.coefficient_bytes = need
+
+    def _check_coeff(self, k: int, a) -> np.ndarray:
+        d = self._dim(k)
         a = np.atleast_2d(np.asarray(a, dtype=complex))
-        d = self.block_dims[k]
         if a.shape != (d, d):
             raise ValueError(f"coefficient shape {a.shape} does not match block dim {d}")
         return linalg.require_hermitian(a, rtol=1e-10)
@@ -72,6 +98,10 @@ class SdpProblem:
             raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
         if not coeffs:
             raise ValueError("constraint must touch at least one block")
+        self._admit(1, coeffs, sense)
+        self._append(coeffs, rhs, sense)
+
+    def _append(self, coeffs: dict[int, np.ndarray], rhs: float, sense: str) -> None:
         checked = {k: self._check_coeff(k, a) for k, a in coeffs.items()}
         self.constraints.append(LinearConstraint(checked, float(rhs), sense))
 
@@ -84,11 +114,16 @@ class SdpProblem:
         coefficient operator L_k†(H) on that block. Read on the dual side,
         the rows are the coordinates y_H of an operator unknown
         Y = sum_H y_H H, and block k's dual slack gains -L_k†(Y).
+        All d² rows are admitted before the first is built.
         """
+        if not terms:
+            raise ValueError("constraint must touch at least one block")
+        d = len(rhs)
+        self._admit(d * d, terms, "==")
         rhs = linalg.require_hermitian(rhs, rtol=1e-10)
-        for h in hermitian_basis(rhs.shape[0]):
+        for h in hermitian_basis(d):
             coeffs = {k: adj(h) for k, adj in terms.items()}
-            self.add_constraint(coeffs, float(np.real(np.sum(h.conj() * rhs))), "==")
+            self._append(coeffs, float(np.real(np.sum(h.conj() * rhs))), "==")
 
 
 def hermitian_basis(d: int):
@@ -135,8 +170,11 @@ class VerifyReport:
     findings: list[str]
 
 
-def verify(problem: SdpProblem, solution: SdpSolution,
-           feas_tol: float = 1e-8, gap_tol: float = 1e-7) -> VerifyReport:
+VERIFY_FEAS_TOL = 1e-8  # scaled residual above which verify flags a constraint
+VERIFY_GAP_TOL = 1e-7  # relative duality gap above which verify flags an optimal solution
+
+
+def verify(problem: SdpProblem, solution: SdpSolution) -> VerifyReport:
     """Independently re-evaluate feasibility residuals and the duality gap."""
     findings: list[str] = []
     b_scale = 1.0 + max((abs(c.rhs) for c in problem.constraints), default=0.0)
@@ -155,7 +193,7 @@ def verify(problem: SdpProblem, solution: SdpSolution,
         else:
             viol = max(0.0, con.rhs - value)
             max_ineq = max(max_ineq, viol)
-        if viol > feas_tol * b_scale:
+        if viol > VERIFY_FEAS_TOL * b_scale:
             findings.append(f"constraint {idx} violated by {viol:.3e}")
     min_eig = np.inf
     for k, x in enumerate(solution.primal_blocks):
@@ -164,8 +202,8 @@ def verify(problem: SdpProblem, solution: SdpSolution,
         if w.min() < -1e-9 * (1.0 + abs(w.max())):
             findings.append(f"block {k} not PSD: min eigenvalue {w.min():.3e}")
     gap = solution.relative_gap
-    if solution.status == "optimal" and gap > gap_tol:
-        findings.append(f"duality gap {gap:.3e} exceeds {gap_tol:.1e}")
+    if solution.status == "optimal" and gap > VERIFY_GAP_TOL:
+        findings.append(f"duality gap {gap:.3e} exceeds {VERIFY_GAP_TOL:.1e}")
     return VerifyReport(ok=not findings, max_equality_violation=max_eq,
                         max_inequality_violation=max_ineq,
                         min_block_eigenvalue=float(min_eig),

@@ -6,9 +6,11 @@ up front, so the core iteration only sees the standard equality form
 
     min sum_k <C_k, X_k>   s.t.   sum_k <A_ik, X_k> = b_i,   X_k >= 0.
 
-Each block stores only the constraint rows that touch it, and the Schur
-matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block into
-those rows. Each Newton system (one for the predictor, one for the
+Each block stores only the constraint rows that touch it, once, and the
+Schur matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block
+into those rows. The conjugations the inner products need are taken on the
+iterates and on each fresh W A W product, never on a stored copy of A.
+Each Newton system (one for the predictor, one for the
 corrector) is a single dense LU solve of M, with a least-squares fallback
 when M is exactly singular. Each matrix is eigendecomposed once per
 iteration for all the powers taken of it, and 1x1 blocks skip LAPACK with
@@ -36,7 +38,9 @@ class _StandardForm:
 
     Block k keeps the indices ``rows[k]`` of the constraint rows with a
     coefficient on it, and those coefficients flattened to ``A[k]`` of shape
-    (len(rows[k]), d_k * d_k); ``A_conj[k]`` is its conjugate.
+    (len(rows[k]), d_k * d_k). ``A`` is the only copy of the coefficients
+    the solver holds: 16 * sum_k len(rows[k]) * d_k**2 bytes, which
+    ``SdpProblem`` counts against its size limit as rows are declared.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -60,16 +64,15 @@ class _StandardForm:
         # an empty block (no row touches it) gets shape (0, d * d)
         self.A = [np.array(c, dtype=complex).reshape(len(c), d * d)
                   for c, d in zip(coeffs, self.dims)]
-        self.A_conj = [a.conj() for a in self.A]
         self.C = [np.zeros((d, d), dtype=complex) for d in self.dims]
         for k, c in problem.objective.items():
             self.C[k] = c.astype(complex)
 
     def apply(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """A(X): vector of <A_i, X> over constraints."""
+        """A(X): vector of <A_i, X> = Re(A_i · conj(X)) over constraints."""
         out = np.zeros(self.m)
-        for rows, ac, x in zip(self.rows, self.A_conj, blocks):
-            out[rows] += (ac @ x.reshape(x.size)).real
+        for rows, a, x in zip(self.rows, self.A, blocks):
+            out[rows] += (a @ x.reshape(x.size).conj()).real
         return out
 
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
@@ -84,12 +87,15 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 _UNIT = np.ones((1, 1), dtype=complex)
 
 
-def _eigh_clamped(x: np.ndarray, floor_rel: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
+EIG_FLOOR_REL = 1e-14  # eigenvalues are raised to this fraction of the largest
+
+
+def _eigh_clamped(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.shape == (1, 1):  # a scalar block is its own eigendecomposition
         w, v = x.real.reshape(1), _UNIT
     else:
         w, v = np.linalg.eigh(linalg.hermitian_part(x))
-    floor = floor_rel * max(float(w.max()), 1e-300)
+    floor = EIG_FLOOR_REL * max(float(w.max()), 1e-300)
     return np.maximum(w, floor), v
 
 
@@ -118,12 +124,14 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
 
 
 def _schur(sf: _StandardForm, W: list[np.ndarray]) -> np.ndarray:
-    """M_ij = sum_k Re<A_ik, W_k A_jk W_k>; block k adds into M[rows_k, rows_k]."""
+    """M_ij = sum_k Re<A_ik, W_k A_jk W_k> = sum_k Re(A_k · conj(W_k A_k W_k)ᵀ)_ij;
+    block k adds into M[rows_k, rows_k]."""
     M = np.zeros((sf.m, sf.m))
-    for rows, a, ac, wk, d in zip(sf.rows, sf.A, sf.A_conj, W, sf.dims):
+    for rows, a, wk, d in zip(sf.rows, sf.A, W, sf.dims):
         r = len(rows)
         bk = (wk @ a.reshape(r, d, d) @ wk).reshape(r, d * d)
-        M[np.ix_(rows, rows)] += (ac @ bk.T).real
+        np.conjugate(bk, out=bk)  # in place: no second full-size temporary
+        M[np.ix_(rows, rows)] += (a @ bk.T).real
     return 0.5 * (M + M.T)
 
 
@@ -192,8 +200,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
     b_scale = 1.0 + float(np.linalg.norm(sf.b))
     c_scale = 1.0 + max(np.linalg.norm(c) for c in sf.C)
     a_row_norms = np.zeros(m)
-    for rows, a, ac in zip(sf.rows, sf.A, sf.A_conj):
-        a_row_norms[rows] += (ac * a).real.sum(axis=1)
+    for rows, a in zip(sf.rows, sf.A):
+        sq = a.conj()
+        sq *= a  # |a|² in one temporary, by numpy's complex product
+        a_row_norms[rows] += sq.real.sum(axis=1)
     a_row_norms = np.sqrt(a_row_norms)
     X, S = [], []
     for k, d in enumerate(dims):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (rand_channel, rand_classical_channel, rand_povm, rand_state,
-                      rand_unitary)
+from conftest import rand_channel, rand_classical_channel, rand_povm, rand_state
 from oracles import classical_converse_bits, identity_opt_input_bound
 from qconv import bounds, linalg, quantum, sdp
-from qconv.bounds import (TestClass, average_state, binary_entropy,
-                          binary_relative_entropy, classical_converse, depolarising_exact,
-                          ea_bound, ea_bound_dual, ea_bound_opt_rho, fano_bound,
-                          noisy_storage_minentropy, verify_covariance, wang_renner_chi)
+from qconv.bounds import (TestClass, binary_entropy, binary_relative_entropy,
+                          classical_converse, depolarising_exact, ea_bound, ea_bound_dual,
+                          ea_bound_opt_rho, fano_bound, noisy_storage_minentropy,
+                          wang_renner_chi)
 from qconv.hypotest import classical_np_beta, quantum_np_beta
 from qconv.quantum import (Code, DensityMatrix, apply_channel, apply_channel_second,
                            canonical_purification, constant_channel,
@@ -111,13 +110,15 @@ class TestEaBound:
         # end-to-end feasibility of the assembled program at the solution
         prob = bounds._ea_problem(DEPOL, 0.05, TestClass.ALL, MU2.mat.T)
         sol = sdp.solve(prob)
-        report = sdp.verify(prob, sol, feas_tol=1e-8)
+        report = sdp.verify(prob, sol)
         assert report.ok, report.findings
 
 
-def _stored_bytes(prob: sdp.SdpProblem) -> int:
+def _held_bytes(prob: sdp.SdpProblem) -> int:
+    """Coefficient bytes held during a solve: the problem's rows and the solver's stacks."""
     form = sdp.solver._StandardForm(prob)
-    return sum(a.nbytes + c.nbytes for a, c in zip(form.A, form.A_conj))
+    return (sum(a.nbytes for con in prob.constraints for a in con.coeffs.values())
+            + sum(a.nbytes for a in form.A))
 
 
 _PROGRAMS = {
@@ -145,30 +146,30 @@ class TestProgramLimits:
         solve = bounds._solve
         monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
         _PROGRAMS[name](DEPOL)
-        # the solver adds a 1x1 slack block, 32 bytes, per scalar inequality row
-        need = _stored_bytes(probs[0]) - 32 * sum(c.sense != "==" for c in probs[0].constraints)
-        monkeypatch.setattr(bounds, "MAX_PROGRAM_BYTES", need)
+        need = probs[0].coefficient_bytes
+        assert need == _held_bytes(probs[0])
+        monkeypatch.setattr(sdp.problem, "MAX_PROGRAM_BYTES", need)
         _PROGRAMS[name](DEPOL)
-        monkeypatch.setattr(bounds, "MAX_PROGRAM_BYTES", need - 1)
+        monkeypatch.setattr(sdp.problem, "MAX_PROGRAM_BYTES", need - 1)
         with pytest.raises(ValueError, match="GiB"):
             _PROGRAMS[name](DEPOL)
 
     def test_three_uses_are_admitted(self, monkeypatch):
-        # about 1.0 GiB (ALL) and 2.0 GiB (PPT); stop after the check, before assembly
+        # about 1.0 GiB (ALL) and 2.0 GiB (PPT): every row is counted and admitted,
+        # no operator row is built, and the solve is never reached
         class Admitted(Exception):
             pass
 
-        check = bounds._require_size
+        def stop(prob):
+            raise Admitted(prob.coefficient_bytes)
 
-        def check_then_stop(blocks):
-            check(blocks)
-            raise Admitted
-
-        monkeypatch.setattr(bounds, "_require_size", check_then_stop)
+        monkeypatch.setattr(sdp.problem, "hermitian_basis", lambda d: iter(()))
+        monkeypatch.setattr(bounds, "_solve", stop)
         chan = tensor_power(DEPOL, 3)
         for name in _PROGRAMS:
-            with pytest.raises(Admitted):
+            with pytest.raises(Admitted) as admitted:
                 _PROGRAMS[name](chan)
+            assert 2**30 < admitted.value.args[0] <= sdp.problem.MAX_PROGRAM_BYTES
 
     def test_four_uses_are_rejected_before_allocating(self):
         chan = tensor_power(DEPOL, 4)  # about 257 GiB of coefficients
@@ -409,46 +410,6 @@ class TestFanoBound:
 
     def test_binary_relative_entropy_value(self):
         assert binary_relative_entropy(0.8875, 0.25) == pytest.approx(1.31428, abs=1e-5)
-
-
-class TestSymmetryTools:
-    def test_pauli_twirl_depolarizes(self, rng):
-        rho = rand_state(rng, 2)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        paulis = [np.eye(2, dtype=complex), x, z, x @ z]
-        out = average_state(rho, paulis, [0.25] * 4)
-        assert_allclose(out.mat, np.eye(2) / 2, atol=1e-12)
-
-    def test_singleton_identity(self, rng):
-        rho = rand_state(rng, 3)
-        out = average_state(rho, [np.eye(3, dtype=complex)], [1.0])
-        assert_allclose(out.mat, rho.mat, atol=1e-14)
-
-    def test_phase_twirl_kills_coherence(self):
-        plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
-        out = average_state(plus, [np.eye(2, dtype=complex), np.diag([1.0, -1.0])],
-                            [0.5, 0.5])
-        assert_allclose(out.mat, np.eye(2) / 2, atol=1e-14)
-
-    def test_rejects_non_unitary(self, rng):
-        with pytest.raises(ValueError, match="unitary"):
-            average_state(rand_state(rng, 2), [np.diag([1.0, 0.5])], [1.0])
-
-    def test_depolarising_covariance(self, rng):
-        u = rand_unitary(rng, 2)
-        assert verify_covariance(DEPOL, u, u)
-
-    def test_identity_channel_covariance(self, rng):
-        u = rand_unitary(rng, 2)
-        v = rand_unitary(rng, 2)
-        assert verify_covariance(identity_channel(2), u, u)
-        assert not verify_covariance(identity_channel(2), u, v)
-
-    def test_constant_channel_covariance(self, rng):
-        chan = _constant(rng)
-        u = rand_unitary(rng, 2)
-        assert verify_covariance(chan, u, np.eye(2, dtype=complex))
 
 
 class TestNoisyStorage:

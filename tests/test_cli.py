@@ -64,6 +64,8 @@ class TestArgumentParsing:
         assert cli.parse_n_list("1,5,9") == [1, 5, 9]
         with pytest.raises(ValueError):
             cli.parse_n_list("0..3")
+        with pytest.raises(ValueError, match="below its start"):
+            cli.parse_n_list("1,3..2")
 
     def test_fmt_significant_digits(self):
         assert cli.fmt(1) == "1"
@@ -90,14 +92,19 @@ class TestDepolCommand:
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("command,form", [("depol", "csv"), ("depol", "json"),
-                                              ("bound", "csv"), ("bound", "json")])
+                                              ("bound", "csv"), ("bound", "json"),
+                                              ("classical", "csv"), ("classical", "json")])
     def test_byte_determinism(self, tmp_path, command, form):
         if command == "depol":
             args = ["depol", "--d", "2", "--p", "0.15", "--eps", "1e-2,1e-4",
                     "--n", "1..20"]
-        else:
+        elif command == "bound":
             args = ["bound", "--channel", str(_write_depol_choi(tmp_path / "depol.json")),
                     "--eps", "0.05,0.25", "--n", "1,2"]
+        else:
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps({"data": [[0.9, 0.2], [0.1, 0.8]]}))
+            args = ["classical", "--channel", str(path), "--eps", "0.05,0.25"]
         out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
         assert cli.main(args + ["--format", form, "--out", str(out1)]) == 0
         assert cli.main(args + ["--format", form, "--out", str(out2)]) == 0
@@ -250,11 +257,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("rep,data", [
         ("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0]),
-        ("kraus", [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])])
+        ("kraus", [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+        # dimensions that are not integral numbers, on otherwise valid data
+        pytest.param("kraus", {"dimIn": 2.7}, id="kraus-dimIn-2.7"),
+        pytest.param("kraus", {"dimIn": True, "dimOut": True, "data": [[[[1.0, 0.0]]]]},
+                     id="kraus-dims-bool")])
     def test_malformed_channel_data_is_2(self, tmp_path, rep, data):
+        spec = {"dimIn": 2, "dimOut": 2, "representation": rep, "data": data}
+        if isinstance(data, dict):  # dimensions over the 2x2 identity channel
+            spec.update({"data": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+                         **data})
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dimIn": 2, "dimOut": 2, "representation": rep,
-                                    "data": data}))
+        path.write_text(json.dumps(spec))
         assert cli.main(["bound", "--channel", str(path), "--eps", "0.05"]) == 2
 
     @pytest.mark.parametrize("ensemble", [{"probs": [1.0], "states": [5]},
@@ -267,7 +281,10 @@ class TestExitCodes:
         assert cli.main(["chi", "--channel", str(chan), "--ensemble", str(path),
                          "--eps", "0.05"]) == 2
 
-    @pytest.mark.parametrize("state", [{"dim": None, "data": []}, [[[1.0, 0.0]]]])
+    @pytest.mark.parametrize("state", [
+        {"dim": None, "data": []}, [[[1.0, 0.0]]],
+        {"dim": 2.9, "data": _mat_to_pairs(np.eye(2) / 2)},
+        {"dim": False, "data": []}])
     def test_malformed_state_is_2(self, tmp_path, state):
         chan = _write_identity_channel(tmp_path / "id.json")
         path = tmp_path / "rho.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -309,3 +311,34 @@ class TestStandardFormKernels:
         lhs = float(a_x @ y)
         rhs = sum(np.real(np.sum(x.conj() * ay)) for x, ay in zip(X, a_star_y))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestSizeGuard:
+    def test_operator_equality_over_budget_builds_nothing(self, monkeypatch):
+        # 64 rows on a 64 x 64 block would hold 8 MiB; one row's coefficient is 64 KiB
+        monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", 2**20)
+        prob = SdpProblem([64])
+        rhs = np.zeros((8, 8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB"):
+                prob.add_operator_equality({0: lambda h: np.kron(h, np.eye(8))}, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 64 * 64
+        assert prob.constraints == [] and prob.coefficient_bytes == 0
+
+    def test_count_is_the_bytes_held(self):
+        # 4 equality rows on blocks of 2 and 3; a "<=" and a ">=" row, each of
+        # which also gets a 16-byte 1x1 slack coefficient in the solver
+        prob = SdpProblem([2, 3])
+        prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1))},
+                                   np.eye(2))
+        prob.add_constraint({0: np.eye(2)}, 1.0, "<=")
+        prob.add_constraint({1: np.eye(3)}, 0.5, ">=")
+        sf = _StandardForm(prob)
+        held = (sum(a.nbytes for con in prob.constraints for a in con.coeffs.values())
+                + sum(a.nbytes for a in sf.A))
+        assert len(sf.A) == 4
+        assert prob.coefficient_bytes == held == 4 * 32 * 13 + (32 * 4 + 16) + (32 * 9 + 16)
