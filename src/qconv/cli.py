@@ -234,10 +234,10 @@ def cmd_bound(args) -> int:
 
     def work(point):
         n, eps = point
-        chan_n = quantum.tensor_power(channel, n) if n > 1 else channel
         if args.rho == "optimize":
-            res = bounds.ea_bound_opt_rho(chan_n, eps, cls)
+            res = bounds.ea_bound_opt_rho(channel, eps, cls, n)
         else:
+            chan_n = quantum.tensor_power(channel, n) if n > 1 else channel
             rho = quantum.maximally_mixed(chan_n.dim_in) if rho_file is None else rho_file
             res = bounds.ea_bound(chan_n, rho, eps, cls)
         return Row(n, eps, res.test_class.value, res.beta, res.bits, 0.0)

@@ -1,8 +1,8 @@
 """Dense primal-dual interior-point semidefinite programming."""
 
-from .problem import (LinearConstraint, SdpProblem, SdpSolution, VerifyReport,
-                      hermitian_basis, verify)
+from .problem import (Basis, LinearConstraint, SdpProblem, SdpSolution, VerifyReport,
+                      diagonal_basis, hermitian_basis, invariant_basis, verify)
 from .solver import solve
 
-__all__ = ["LinearConstraint", "SdpProblem", "SdpSolution", "VerifyReport",
-           "hermitian_basis", "verify", "solve"]
+__all__ = ["Basis", "LinearConstraint", "SdpProblem", "SdpSolution", "VerifyReport",
+           "diagonal_basis", "hermitian_basis", "invariant_basis", "verify", "solve"]

@@ -11,10 +11,15 @@ with the real inner product <A, X> = Re Tr(A† X), and its dual
     subject to  C_k - sum_i y_i A_ik >= 0   for every block k.
 
 A program can be stated either way. In the primal form an operator
-equation becomes one scalar row per Hermitian basis element of its space.
-In the dual (LMI) form the rows are the Hermitian coordinates of the
-operator unknowns, and each linear matrix inequality is one block k with
-no rows of its own; the converse programs in ``bounds`` use this form.
+equation becomes one scalar row per element of a basis of its space. In
+the dual (LMI) form the rows are the coordinates of the operator unknowns
+in that basis, and each linear matrix inequality is one block k with no
+rows of its own; the converse programs in ``bounds`` use this form. A
+``Basis`` knows its length before any element is built: the full Hermitian
+basis, the diagonal one, or the permutation-invariant one of n uses, whose
+span holds an optimum when the program's data is invariant (Gatermann &
+Parrilo, *Symmetry groups, semidefinite programs, and sums of squares*,
+JPAA 2004).
 Scalar inequality rows are converted to equalities with 1x1 slack blocks
 inside the solver.
 
@@ -25,6 +30,7 @@ MAX_PROGRAM_BYTES before building any of their coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,29 +111,46 @@ class SdpProblem:
         checked = {k: self._check_coeff(k, a) for k, a in coeffs.items()}
         self.constraints.append(LinearConstraint(checked, float(rhs), sense))
 
-    def add_operator_equality(self, terms: dict[int, "callable"], rhs: np.ndarray) -> None:
-        """Add the operator equation sum_k L_k(X_k) = rhs, one scalar row per
-        Hermitian basis element of the equation space.
+    def add_operator_equality(self, terms: dict[int, "callable"], basis: "Basis") -> None:
+        """Add the operator equation sum_k L_k(X_k) = 0 on the span of ``basis``,
+        one scalar row per basis element.
 
         ``terms`` maps a block index to the adjoint of its linear map:
-        a callable taking a Hermitian basis element H and returning the
-        coefficient operator L_k†(H) on that block. Read on the dual side,
-        the rows are the coordinates y_H of an operator unknown
-        Y = sum_H y_H H, and block k's dual slack gains -L_k†(Y).
-        All d² rows are admitted before the first is built.
+        a callable taking a basis element H and returning the coefficient
+        operator L_k†(H) on that block. Read on the dual side, the rows are
+        the coordinates y_H of an operator unknown Y = sum_H y_H H, and
+        block k's dual slack gains -L_k†(Y). All ``len(basis)`` rows are
+        admitted before the first basis element is built.
         """
         if not terms:
             raise ValueError("constraint must touch at least one block")
-        d = len(rhs)
-        self._admit(d * d, terms, "==")
-        rhs = linalg.require_hermitian(rhs, rtol=1e-10)
-        for h in hermitian_basis(d):
-            coeffs = {k: adj(h) for k, adj in terms.items()}
-            self._append(coeffs, float(np.real(np.sum(h.conj() * rhs))), "==")
+        self._admit(len(basis), terms, "==")
+        for h in basis:
+            self._append({k: adj(h) for k, adj in terms.items()}, 0.0, "==")
 
 
-def hermitian_basis(d: int):
-    """Orthonormal basis of the real space of d x d Hermitian matrices."""
+class Basis:
+    """An orthonormal basis of a real space of d x d Hermitian matrices.
+
+    Its length is known in closed form; iterating builds the elements one
+    at a time, so a program can be sized, and rejected, before any exists.
+    """
+
+    def __init__(self, size: int, elements):
+        self._size, self._elements = size, elements
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self._elements())
+
+    def operator(self, coords: np.ndarray) -> np.ndarray:
+        """The Hermitian operator with coordinates ``coords`` in this basis."""
+        return sum(c * h for c, h in zip(coords, self))
+
+
+def _hermitian_elements(d: int):
     s = 1.0 / np.sqrt(2.0)
     for i in range(d):
         e = np.zeros((d, d), dtype=complex)
@@ -142,6 +165,83 @@ def hermitian_basis(d: int):
             e[i, j] = 1j * s
             e[j, i] = -1j * s
             yield e
+
+
+def hermitian_basis(d: int) -> Basis:
+    """All d x d Hermitian matrices: each diagonal unit, then for each
+    i < j the symmetric and antisymmetric pair, in row-major order."""
+    return Basis(d * d, lambda: _hermitian_elements(d))
+
+
+def diagonal_basis(d: int) -> Basis:
+    """The real diagonal d x d matrices: the span fixed by conjugation with
+    every diagonal unitary."""
+
+    def elements():
+        for i in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, i] = 1.0
+            yield e
+
+    return Basis(d, elements)
+
+
+def _use_orbits(dims: tuple[int, ...], n: int) -> np.ndarray:
+    """For each matrix unit |i><j| of the n-use space, the index of its orbit
+    under permuting the uses.
+
+    An index i of the space (C^d_1)^⊗n ⊗ ... ⊗ (C^d_f)^⊗n, factor-major,
+    holds in each use k a local index of C^d_1 ⊗ ... ⊗ C^d_f; the unit
+    |i><j| is the product over k of local units, and a permutation of the
+    uses permutes them. Its orbit is therefore the multiset of local units.
+    """
+    d_loc = math.prod(dims)
+    size = d_loc ** n
+    digits = np.unravel_index(np.arange(size), [d for d in dims for _ in range(n)])
+    local = np.zeros((size, n), dtype=np.int64)
+    for f, d in enumerate(dims):
+        local = local * d + np.stack(digits[f * n:(f + 1) * n], axis=1)
+    units = np.sort(local[:, None, :] * d_loc + local[None, :, :], axis=2)
+    keys = units @ (d_loc * d_loc) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.unique(keys, return_inverse=True)[1].reshape(size, size)
+
+
+def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
+    """Hermitian operators on n uses of C^d_1 ⊗ ... ⊗ C^d_f, stored as
+    (C^d_1)^⊗n ⊗ ... ⊗ (C^d_f)^⊗n, that are invariant under permuting the
+    uses.
+
+    The elements are the orthonormalised orbit sums of matrix units: an
+    orbit O equal to its transpose gives O/|O|^½, and a pair O ≠ Oᵀ gives
+    (O + Oᵀ) and i(O - Oᵀ), each over (2|O|)^½. There is one element per
+    orbit, C(D² + n - 1, n) for D = d_1···d_f. Elements come in the row-major
+    order of the first upper-triangular unit of their orbits, which at
+    n = 1 is ``hermitian_basis(D)`` element for element.
+    """
+    d_loc = math.prod(dims)
+
+    def elements():
+        orbit = _use_orbits(dims, n)
+        rows, cols = np.triu_indices(len(orbit))
+        pair = np.minimum(orbit, orbit.T)[rows, cols]
+        for t in np.sort(np.unique(pair, return_index=True)[1]):
+            o, o_t = orbit[rows[t], cols[t]], orbit[cols[t], rows[t]]
+            mask = orbit == o
+            e = np.zeros(orbit.shape, dtype=complex)
+            if o == o_t:
+                e[mask] = 1.0 / np.sqrt(np.count_nonzero(mask))
+                yield e
+                continue
+            s = 1.0 / np.sqrt(2 * np.count_nonzero(mask))  # O and Oᵀ are disjoint
+            e[mask] = s
+            e[mask.T] = s
+            yield e
+            e = np.zeros(orbit.shape, dtype=complex)
+            e[mask] = 1j * s
+            e[mask.T] = -1j * s
+            yield e
+
+    return Basis(math.comb(d_loc * d_loc + n - 1, n), elements)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qconv import quantum
+from qconv import quantum, sdp
 
 
 @pytest.fixture
@@ -56,3 +56,11 @@ def rand_classical_channel(rng, n_in: int, n_out: int):
             m[b, a] = np.sqrt(w[b, a])
             kraus.append(m)
     return w, quantum.QuantumChannel(kraus)
+
+
+def operator_equality(prob: sdp.SdpProblem, terms: dict, rhs: np.ndarray) -> None:
+    """The rows of sum_k L_k(X_k) = rhs: one per element H of the full Hermitian
+    basis, with coefficients L_k†(H) and right-hand side <H, rhs>."""
+    for h in sdp.hermitian_basis(len(rhs)):
+        prob.add_constraint({k: adj(h) for k, adj in terms.items()},
+                            float(np.real(np.sum(h.conj() * rhs))))

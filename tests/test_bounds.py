@@ -95,20 +95,26 @@ class TestEaBound:
 
     @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
     def test_program_rows_are_the_lmi_unknowns(self, cls):
-        # rows: the d_ab² coordinates of R, lambda, and the d_a² of an optimised
-        # input; every inequality is a block with no rows of its own
+        # rows: the coordinates of R in its basis, lambda, and those of an
+        # optimised input; every inequality is a block with no rows of its own.
+        # A fixed input takes all d_ab² = 256 Hermitian coordinates of R; an
+        # optimised one the 136 + 10 permutation-invariant ones of R and rho_ref
         chan = tensor_power(DEPOL, 2)
         ppt_blocks = [16, 16] if cls is TestClass.PPT else []
-        fixed = bounds._ea_problem(chan, 0.05, cls, np.eye(4) / 4)
+        fixed = bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, cls,
+                                   lambda: np.eye(4) / 4, sdp.hermitian_basis(16))
         assert len(fixed.constraints) == 256 + 1
         assert fixed.block_dims == [16, 16, 4, 1] + ppt_blocks
-        optimised = bounds._ea_problem(chan, 0.05, cls, None)
-        assert len(optimised.constraints) == 256 + 1 + 16
+        optimised = bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, cls, None,
+                                       sdp.invariant_basis((2, 2), 2),
+                                       sdp.invariant_basis((2,), 2))
+        assert len(optimised.constraints) == 136 + 1 + 10 == 147
         assert optimised.block_dims == [16, 16, 4, 1] + ppt_blocks + [4, 1]
 
     def test_program_residuals(self):
         # end-to-end feasibility of the assembled program at the solution
-        prob = bounds._ea_problem(DEPOL, 0.05, TestClass.ALL, MU2.mat.T)
+        prob = bounds._ea_problem((2, 2), lambda: DEPOL.choi, 0.05, TestClass.ALL,
+                                  lambda: MU2.mat.T, sdp.hermitian_basis(4))
         sol = sdp.solve(prob)
         report = sdp.verify(prob, sol)
         assert report.ok, report.findings
@@ -163,7 +169,7 @@ class TestProgramLimits:
         def stop(prob):
             raise Admitted(prob.coefficient_bytes)
 
-        monkeypatch.setattr(sdp.problem, "hermitian_basis", lambda d: iter(()))
+        monkeypatch.setattr(sdp.problem.Basis, "__iter__", lambda basis: iter(()))
         monkeypatch.setattr(bounds, "_solve", stop)
         chan = tensor_power(DEPOL, 3)
         for name in _PROGRAMS:
@@ -182,6 +188,26 @@ class TestProgramLimits:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_four_optimised_uses_are_rejected_before_the_channel(self, monkeypatch, cls):
+        # 3,876 invariant R rows on 256 x 256 blocks: about 15 GiB (ALL)
+        def unbuilt(*args):
+            raise AssertionError("tensor_power ran for a rejected program")
+
+        monkeypatch.setattr(quantum, "tensor_power", unbuilt)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB"):
+                ea_bound_opt_rho(DEPOL, 0.05, cls, n=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_uses_must_be_positive(self):
+        with pytest.raises(ValueError, match="n must be"):
+            ea_bound_opt_rho(DEPOL, 0.05, n=0)
 
 
 class TestEaBoundDual:
@@ -298,10 +324,29 @@ class TestClassicalConverse:
         w_neg = np.array([[1.0 + 1e-13, 0.2], [-1e-13, 0.8]])
         assert np.isfinite(classical_converse(w_neg, 0.1).bits)
 
-    def test_size_limit(self):
-        w = np.full((2, 33), 0.5)  # 66 entries
-        with pytest.raises(ValueError, match="more than 64 entries"):
-            classical_converse(w, 0.1, np.full(33, 1 / 33))
+    def test_over_budget_matrix_is_rejected(self):
+        # 256 inputs, 2 outputs: 512 diagonal R rows on two 512 x 512 blocks, about
+        # 8 GiB, rejected before the 4 MiB Choi matrix or any coefficient is built
+        w, p = np.full((2, 256), 0.5), np.full(256, 1 / 256)
+        tracemalloc.start()
+        try:
+            for dist in (p, None):
+                with pytest.raises(ValueError, match="GiB"):
+                    classical_converse(w, 0.1, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_diagonal_program_equals_full_program(self):
+        # the phase-invariant (diagonal) R and rho_ref lose nothing on a classical channel
+        w, chan = rand_classical_channel(np.random.default_rng(33), 3, 3)
+        diag = bounds._ea_bound((3, 3), lambda: chan.choi, 0.1, TestClass.ALL, None,
+                                sdp.diagonal_basis(9), sdp.diagonal_basis(3))
+        full = bounds._ea_bound((3, 3), lambda: chan.choi, 0.1, TestClass.ALL, None,
+                                sdp.hermitian_basis(9), sdp.hermitian_basis(3))
+        assert diag.bits == pytest.approx(full.bits, abs=1e-7)
+        assert classical_converse(w, 0.1).bits == pytest.approx(full.bits, abs=1e-7)
 
 
 class TestDepolarisingExact:
@@ -335,16 +380,51 @@ class TestDepolarisingExact:
 class TestDepolarisingConsistency:
     @pytest.mark.parametrize("n,eps", [(1, 0.05), (1, 0.25), (2, 0.05)])
     def test_sdp_equals_exact(self, n, eps):
-        chan = tensor_power(DEPOL, n) if n > 1 else DEPOL
-        res = ea_bound_opt_rho(chan, eps, TestClass.ALL)
+        res = ea_bound_opt_rho(DEPOL, eps, TestClass.ALL, n)
         exact = depolarising_exact(2, 0.15, n, eps)
         assert res.bits == pytest.approx(exact.bits, abs=1e-5)
 
     @pytest.mark.slow
     def test_sdp_equals_exact_three_uses(self):
-        res = ea_bound_opt_rho(tensor_power(DEPOL, 3), 0.05, TestClass.ALL)
+        res = ea_bound_opt_rho(DEPOL, 0.05, TestClass.ALL, n=3)
         exact = depolarising_exact(2, 0.15, 3, 0.05)
         assert res.bits == pytest.approx(exact.bits, abs=1e-5)
+
+
+def _pauli_channel(probs) -> quantum.QuantumChannel:
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    return quantum.QuantumChannel([np.sqrt(q) * s for q, s in zip(probs, paulis) if q > 0])
+
+
+class TestInvariantPrograms:
+    """The permutation-invariant program for n uses against independent values."""
+
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    @pytest.mark.parametrize("d_in,d_out", [
+        (2, 2),
+        # the unreduced programs have 1,377 rows on 36 x 36 blocks, 20-50 s each
+        pytest.param(2, 3, marks=pytest.mark.slow),
+        pytest.param(3, 2, marks=pytest.mark.slow)])
+    def test_reduced_equals_unreduced(self, d_in, d_out, cls):
+        chan = rand_channel(np.random.default_rng(1), d_in, d_out)
+        reduced = ea_bound_opt_rho(chan, 0.1, cls, n=2)
+        full = ea_bound_opt_rho(tensor_power(chan, 2), 0.1, cls)
+        assert reduced.bits == pytest.approx(full.bits, abs=1e-6)
+        assert reduced.n_uses == 2
+
+    @pytest.mark.parametrize("probs,n", [((0.8, 0.1, 0.0, 0.1), 2), ((0.9, 0.0, 0.0, 0.1), 2),
+                                         ((0.9, 0.0, 0.0, 0.1), 3)])
+    def test_pauli_channel_is_a_classical_test(self, probs, n):
+        # Pauli covariance makes both optimal states maximally mixed, so beta is the
+        # Neyman-Pearson test between p^⊗n and the uniform distribution on 4^n outcomes
+        p_n = np.ones(1)
+        for _ in range(n):
+            p_n = np.kron(p_n, probs)
+        for eps in (0.05, 0.2):
+            want = -np.log2(classical_np_beta(p_n, np.full(4**n, 4.0**-n), eps).beta)
+            got = ea_bound_opt_rho(_pauli_channel(probs), eps, TestClass.ALL, n).bits
+            assert got == pytest.approx(want, abs=1e-6)
 
 
 class TestWangRennerChi:

@@ -187,6 +187,17 @@ class TestOtherCommands:
         assert float(fields[4]) == pytest.approx(4.0, abs=1e-3)
         assert float(fields[5]) == pytest.approx(2.0, abs=1e-3)
 
+    def test_bound_two_optimised_uses(self, tmp_path):
+        chan = _write_identity_channel(tmp_path / "id.json")
+        out = tmp_path / "out.csv"
+        rc = cli.main(["bound", "--channel", str(chan), "--eps", "0.05", "--n", "1,2",
+                       "--rho", "optimize", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [1, 2]
+        for n, row in zip((1, 2), rows):
+            assert float(row[4]) == pytest.approx(2 * n - np.log2(0.95), abs=1e-4)
+
     def test_bound_state_file_loaded_once(self, tmp_path, monkeypatch):
         chan = _write_identity_channel(tmp_path / "id.json")
         state = tmp_path / "rho.json"
@@ -254,6 +265,16 @@ class TestExitCodes:
         # eps above 1 - 1e-9; four uses need about 257 GiB of coefficients
         chan = _write_depol_choi(tmp_path / "depol.json")
         assert cli.main(["bound", "--channel", str(chan), *extra]) == 2
+
+    @pytest.mark.parametrize("cls", ["all", "ppt"])
+    def test_four_optimised_uses_are_2_before_the_channel(self, tmp_path, monkeypatch, cls):
+        def unbuilt(*args):
+            raise AssertionError("tensor_power ran for a rejected program")
+
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        monkeypatch.setattr(quantum, "tensor_power", unbuilt)
+        assert cli.main(["bound", "--channel", str(chan), "--eps", "0.05", "--n", "4",
+                         "--class", cls, "--rho", "optimize"]) == 2
 
     @pytest.mark.parametrize("rep,data", [
         ("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0]),

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_state, rand_unitary
+from conftest import operator_equality, rand_state, rand_unitary
 from oracles import (binomial_count_distribution, binomial_np_reference,
                      exhaustive_np_beta, product_distribution)
 from qconv import sdp
@@ -212,8 +212,8 @@ class TestQuantumNp:
             prob = sdp.SdpProblem([dim, dim])  # T and I - T
             prob.set_objective(0, t1.mat)
             prob.add_constraint({0: t0.mat}, 1.0 - eps, ">=")
-            prob.add_operator_equality({0: lambda h: h, 1: lambda h: h},
-                                       np.eye(dim, dtype=complex))
+            operator_equality(prob, {0: lambda h: h, 1: lambda h: h},
+                              np.eye(dim, dtype=complex))
             sol = sdp.solve(prob)
             assert sol.status == "optimal"
             assert spectral == pytest.approx(sol.primal_objective, abs=1e-7)

@@ -1,11 +1,15 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import operator_equality
 from qconv import bounds, quantum
-from qconv.sdp import SdpProblem, hermitian_basis, solve, verify
+from qconv.sdp import (SdpProblem, diagonal_basis, hermitian_basis, invariant_basis, solve,
+                       verify)
 from qconv.sdp.solver import _schur, _StandardForm
 
 
@@ -51,7 +55,7 @@ class TestClosedFormFixtures:
     def test_trace_above_identity(self):
         prob = SdpProblem([2, 2])
         prob.set_objective(0, np.eye(2))
-        prob.add_operator_equality({0: lambda h: h, 1: lambda h: -h}, np.eye(2))
+        operator_equality(prob, {0: lambda h: h, 1: lambda h: -h}, np.eye(2))
         sol = solve(prob)
         assert sol.status == "optimal"
         assert sol.primal_objective == pytest.approx(2.0, abs=1e-7)
@@ -69,8 +73,8 @@ class TestClosedFormFixtures:
         c = np.array([[0.3, 1 - 1j], [1 + 1j, -0.2]])
         prob = SdpProblem([1, 2])
         prob.set_objective(0, [[1.0]])
-        prob.add_operator_equality(
-            {0: lambda h: np.real(np.trace(h)) * np.eye(1), 1: lambda h: -h}, c)
+        operator_equality(prob, {0: lambda h: np.real(np.trace(h)) * np.eye(1),
+                                 1: lambda h: -h}, c)
         sol = solve(prob)
         assert sol.primal_objective == pytest.approx(np.linalg.eigvalsh(c).max(), abs=1e-7)
 
@@ -108,7 +112,7 @@ class TestClosedFormFixtures:
         prob = SdpProblem([2, 2])
         prob.set_objective(0, np.eye(2))
         prob.set_objective(1, np.eye(2))
-        prob.add_operator_equality({0: lambda h: h, 1: lambda h: -h}, a)
+        operator_equality(prob, {0: lambda h: h, 1: lambda h: -h}, a)
         sol = solve(prob)
         assert sol.primal_objective == pytest.approx(
             np.abs(np.linalg.eigvalsh(a)).sum(), abs=1e-7)
@@ -129,7 +133,7 @@ class TestClosedFormFixtures:
         prob = SdpProblem([2, 2])
         prob.set_objective(0, tau)
         prob.add_constraint({0: tau}, 1.0 - eps, ">=")
-        prob.add_operator_equality({0: lambda h: h, 1: lambda h: h}, np.eye(2))
+        operator_equality(prob, {0: lambda h: h, 1: lambda h: h}, np.eye(2))
         sol = solve(prob)
         assert sol.primal_objective == pytest.approx(1.0 - eps, abs=1e-7)
 
@@ -200,12 +204,77 @@ class TestSolverContracts:
 
     def test_hermitian_basis_orthonormal(self):
         basis = list(hermitian_basis(3))
-        assert len(basis) == 9
+        assert len(basis) == len(hermitian_basis(3)) == 9
         for i, hi in enumerate(basis):
             assert np.abs(hi - hi.conj().T).max() < 1e-15
             for j, hj in enumerate(basis):
                 want = 1.0 if i == j else 0.0
                 assert np.real(np.sum(hi.conj() * hj)) == pytest.approx(want, abs=1e-14)
+
+
+def _gram(basis) -> np.ndarray:
+    flat = np.array([h.reshape(-1) for h in basis])
+    return (flat.conj() @ flat.T).real
+
+
+def _permute_uses(x: np.ndarray, dims: tuple, n: int, perm: tuple) -> np.ndarray:
+    """U_perm X U_perm† for U_perm permuting the n uses of every factor."""
+    axes = [f * n + k for f in range(len(dims)) for k in perm]
+    shape = [d for d in dims for _ in range(n)]
+    t = x.reshape(shape + shape)
+    return t.transpose(axes + [len(shape) + a for a in axes]).reshape(x.shape)
+
+
+class TestBases:
+    @pytest.mark.parametrize("dims,n", [((2,), 3), ((2, 2), 2), ((2, 3), 2), ((3, 2), 2),
+                                        ((2, 2), 3)])
+    def test_invariant_basis(self, dims, n):
+        basis = invariant_basis(dims, n)
+        elements = list(basis)
+        d = int(np.prod(dims))
+        assert len(basis) == len(elements) == math.comb(d * d + n - 1, n)
+        assert all(h.shape == (d**n, d**n) for h in elements)
+        assert np.abs(_gram(elements) - np.eye(len(elements))).max() < 1e-14
+        for h in elements:
+            assert np.abs(h - h.conj().T).max() == 0.0
+            for perm in itertools.permutations(range(n)):
+                assert np.abs(_permute_uses(h, dims, n, perm) - h).max() == 0.0
+
+    def test_invariant_basis_spans_the_averaged_operators(self, rng):
+        # the group average of any Hermitian operator has no part outside the span
+        dims, n = (2, 2), 2
+        d = 4**n
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = g + g.conj().T
+        avg = sum(_permute_uses(x, dims, n, p) for p in itertools.permutations(range(n))) / 2
+        basis = invariant_basis(dims, n)
+        coords = [np.real(np.sum(h.conj() * avg)) for h in basis]
+        assert_allclose(basis.operator(coords), avg, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3)])
+    def test_one_use_is_the_hermitian_basis(self, dims):
+        d = int(np.prod(dims))
+        got, want = list(invariant_basis(dims, 1)), list(hermitian_basis(d))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(float), b.view(float))
+            assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+    def test_diagonal_basis(self):
+        basis = diagonal_basis(5)
+        assert len(basis) == 5
+        assert np.array_equal(sum(basis), np.eye(5))
+        assert np.abs(_gram(basis) - np.eye(5)).max() == 0.0
+
+    def test_length_is_known_before_any_element(self):
+        # four uses of the R space of a qubit channel: 3,876 elements of 256 x 256
+        tracemalloc.start()
+        try:
+            assert len(invariant_basis((2, 2), 4)) == 3876
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 # the 2 -> 3 channel of the sdp-small benchmark workload at seed 131: at
@@ -228,7 +297,8 @@ class TestLastContractIterate:
         chan = quantum.QuantumChannel([np.array(k) for k in STALL_KRAUS], atol=1e-8)
         rho = quantum.maximally_mixed(2)
         eps = 0.01293
-        prob = bounds._ea_problem(chan, eps, bounds.TestClass.ALL, rho.mat.T)
+        prob = bounds._ea_problem((2, 3), lambda: chan.choi, eps, bounds.TestClass.ALL,
+                                  lambda: rho.mat.T, hermitian_basis(6))
         sol = solve(prob)
         assert sol.status == "optimal"
         assert sol.residuals["primal"] <= 1e-8
@@ -261,7 +331,8 @@ class TestVerify:
 def _depol_ppt_program():
     """The n = 2 PPT optimised-input program of the qubit depolarising channel."""
     chan = quantum.tensor_power(quantum.depolarising_channel(2, 0.15), 2)
-    return bounds._ea_problem(chan, 0.05, bounds.TestClass.PPT, None)
+    return bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, bounds.TestClass.PPT, None,
+                              invariant_basis((2, 2), 2), invariant_basis((2,), 2))
 
 
 def _dense_constraints(prob, dims):
@@ -318,11 +389,11 @@ class TestSizeGuard:
         # 64 rows on a 64 x 64 block would hold 8 MiB; one row's coefficient is 64 KiB
         monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", 2**20)
         prob = SdpProblem([64])
-        rhs = np.zeros((8, 8))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="GiB"):
-                prob.add_operator_equality({0: lambda h: np.kron(h, np.eye(8))}, rhs)
+                prob.add_operator_equality({0: lambda h: np.kron(h, np.eye(8))},
+                                           hermitian_basis(8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -334,7 +405,7 @@ class TestSizeGuard:
         # which also gets a 16-byte 1x1 slack coefficient in the solver
         prob = SdpProblem([2, 3])
         prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1))},
-                                   np.eye(2))
+                                   hermitian_basis(2))
         prob.add_constraint({0: np.eye(2)}, 1.0, "<=")
         prob.add_constraint({1: np.eye(3)}, 0.5, ">=")
         sf = _StandardForm(prob)
