@@ -84,7 +84,7 @@ EPS_MAX = 1.0 - 1e-9  # largest eps an SDP program is solved at
 
 def _clamp_eps(eps: float) -> float:
     """The eps an SDP program is solved at. When it differs from the requested
-    eps, ``_ea_result`` records it as ``diagnostics["eps_solved"]``.
+    eps, ``_ea_bound`` records it as ``diagnostics["eps_solved"]``.
 
     Interior-point programs need strict feasibility at the endpoints. Raising
     eps below 1e-9 to 1e-9 lowers beta, so the reported bits still bound

@@ -150,29 +150,6 @@ class Basis:
         return sum(c * h for c, h in zip(coords, self))
 
 
-def _hermitian_elements(d: int):
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        yield e
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = s
-            e[j, i] = s
-            yield e
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            yield e
-
-
-def hermitian_basis(d: int) -> Basis:
-    """All d x d Hermitian matrices: each diagonal unit, then for each
-    i < j the symmetric and antisymmetric pair, in row-major order."""
-    return Basis(d * d, lambda: _hermitian_elements(d))
-
-
 def diagonal_basis(d: int) -> Basis:
     """The real diagonal d x d matrices: the span fixed by conjugation with
     every diagonal unitary."""
@@ -215,8 +192,7 @@ def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
     orbit O equal to its transpose gives O/|O|^½, and a pair O ≠ Oᵀ gives
     (O + Oᵀ) and i(O - Oᵀ), each over (2|O|)^½. There is one element per
     orbit, C(D² + n - 1, n) for D = d_1···d_f. Elements come in the row-major
-    order of the first upper-triangular unit of their orbits, which at
-    n = 1 is ``hermitian_basis(D)`` element for element.
+    order of the first upper-triangular unit of their orbits.
     """
     d_loc = math.prod(dims)
 
@@ -242,6 +218,13 @@ def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
             yield e
 
     return Basis(math.comb(d_loc * d_loc + n - 1, n), elements)
+
+
+def hermitian_basis(d: int) -> Basis:
+    """All d x d Hermitian matrices, the one-use case of ``invariant_basis``:
+    each diagonal unit, then for each i < j the symmetric and antisymmetric
+    pair, in row-major order."""
+    return invariant_basis((d,), 1)
 
 
 @dataclass

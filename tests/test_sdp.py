@@ -251,15 +251,6 @@ class TestBases:
         coords = [np.real(np.sum(h.conj() * avg)) for h in basis]
         assert_allclose(basis.operator(coords), avg, atol=1e-12)
 
-    @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3)])
-    def test_one_use_is_the_hermitian_basis(self, dims):
-        d = int(np.prod(dims))
-        got, want = list(invariant_basis(dims, 1)), list(hermitian_basis(d))
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a.view(float), b.view(float))
-            assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
-
     def test_diagonal_basis(self):
         basis = diagonal_basis(5)
         assert len(basis) == 5
