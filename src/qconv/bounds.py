@@ -48,7 +48,12 @@ class TestClass(enum.Enum):
 
 
 class SolverFailure(RuntimeError):
-    """Raised when the interior-point solve does not reach optimality."""
+    """Raised when the interior-point solve does not reach optimality;
+    ``solution`` is what the solver returned."""
+
+    def __init__(self, message: str, solution: sdp.SdpSolution | None = None):
+        super().__init__(message)
+        self.solution = solution
 
 
 @dataclass
@@ -110,7 +115,8 @@ def _solve(problem: sdp.SdpProblem) -> sdp.SdpSolution:
     solution = sdp.solve(problem)
     if solution.status != "optimal":
         raise SolverFailure(f"SDP terminated with status {solution.status} after "
-                            f"{solution.iterations} iterations (residuals {solution.residuals})")
+                            f"{solution.iterations} iterations (residuals {solution.residuals})",
+                            solution)
     return solution
 
 
@@ -200,9 +206,11 @@ def _ea_bound(dims: tuple[int, int], choi, eps: float, cls: TestClass,
                    optimal_rho=rho_mat, diagnostics=diagnostics)
 
 
-def ea_bound(channel: QuantumChannel, rho: DensityMatrix, eps: float,
-             cls: TestClass = TestClass.ALL) -> BoundResult:
-    """Converse bound at a fixed average input state.
+def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float,
+             cls: TestClass = TestClass.ALL, n: int = 1) -> BoundResult:
+    """Converse bound for n uses of ``channel`` at a fixed average input
+    state ``rho`` of the n uses, or at the maximally mixed one when ``rho``
+    is None.
 
     Returns bits = -log2(min lambda) where lambda I >= Tr_ref R, subject to
     acceptance probability <choi, R> >= 1-eps on the channel hypothesis and
@@ -212,13 +220,19 @@ def ea_bound(channel: QuantumChannel, rho: DensityMatrix, eps: float,
 
     R ranges over every Hermitian operator: a fixed input need not share
     any symmetry of the channel, and restricting R for an input that does
-    not would raise beta and report fewer bits than the converse.
+    not would raise beta and report fewer bits than the converse. The
+    n-use channel and the maximally mixed state are built only after the
+    R rows are admitted, so an oversized program is rejected before
+    ``quantum.tensor_power`` runs.
     """
-    if rho.dim != channel.dim_in:
-        raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
-    da, db = channel.dim_in, channel.dim_out
-    return _ea_bound((da, db), lambda: channel.choi, eps, cls, lambda: _ref_state(rho),
-                     sdp.hermitian_basis(da * db))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    da, db = channel.dim_in**n, channel.dim_out**n
+    if rho is not None and rho.dim != da:
+        raise ValueError(f"state dim {rho.dim} != channel input dim {da}")
+    ref = (lambda: np.eye(da, dtype=complex) / da) if rho is None else (lambda: _ref_state(rho))
+    return _ea_bound((da, db), lambda: quantum.tensor_power(channel, n).choi, eps, cls,
+                     ref, sdp.hermitian_basis(da * db), n=n)
 
 
 def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> BoundResult:

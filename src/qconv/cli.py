@@ -237,9 +237,7 @@ def cmd_bound(args) -> int:
         if args.rho == "optimize":
             res = bounds.ea_bound_opt_rho(channel, eps, cls, n)
         else:
-            chan_n = quantum.tensor_power(channel, n) if n > 1 else channel
-            rho = quantum.maximally_mixed(chan_n.dim_in) if rho_file is None else rho_file
-            res = bounds.ea_bound(chan_n, rho, eps, cls)
+            res = bounds.ea_bound(channel, rho_file, eps, cls, n)
         return Row(n, eps, res.test_class.value, res.beta, res.bits, 0.0)
 
     rows = _grid(args, work, [(n, e) for n in n_list for e in eps_list])
@@ -291,9 +289,7 @@ def cmd_minentropy(args) -> int:
         raise ValueError("minentropy needs --channel or --depol-d")
     else:
         channel = load_channel(args.channel)
-        chan_n = quantum.tensor_power(channel, n) if n > 1 else channel
-        res = bounds.ea_bound(chan_n, quantum.maximally_mixed(chan_n.dim_in), eps,
-                              TestClass.ALL)
+        res = bounds.ea_bound(channel, None, eps, TestClass.ALL, n)
     print(fmt(bounds.noisy_storage_minentropy(args.rate, res)))
     return 0
 

@@ -21,7 +21,8 @@ span holds an optimum when the program's data is invariant (Gatermann &
 Parrilo, *Symmetry groups, semidefinite programs, and sums of squares*,
 JPAA 2004).
 Scalar inequality rows are converted to equalities with 1x1 slack blocks
-inside the solver.
+inside the solver, which holds every block with a diagonal objective and
+diagonal coefficients, the 1x1 ones included, as real vector entries.
 
 A problem counts, as its rows are declared, the coefficient bytes it will
 hold during a solve, and rejects rows that would take the program over
@@ -54,10 +55,14 @@ class SdpProblem:
     """Container and validator for a block-diagonal Hermitian SDP.
 
     ``coefficient_bytes`` is what the declared rows will hold during a
-    solve. Each d x d complex coefficient is held twice, 32 bytes per
-    entry: as the row's own copy here and in the solver's per-block stack.
-    The solver also gives each inequality row a 1x1 slack coefficient,
-    16 bytes.
+    solve. Each row keeps its own d x d complex coefficient here, 16·d²
+    bytes, and the solver keeps a second copy in its per-block stack:
+    8 bytes on a 1x1 block, which the solver holds as a real vector entry,
+    and 16·d² on a larger block. The solver also gives each inequality
+    row a 1x1 slack coefficient, 8 bytes. The count is exact, except on a
+    d > 1 block whose objective and coefficients all turn out diagonal:
+    the solver keeps only their 8·d real diagonal bytes, so the count is
+    an upper bound there.
     """
 
     def __init__(self, block_dims: list[int]):
@@ -82,7 +87,8 @@ class SdpProblem:
     def _admit(self, rows: int, blocks, sense: str) -> None:
         """Count ``rows`` more rows with coefficients on ``blocks``; reject the
         program, before any of them is built, if it would pass MAX_PROGRAM_BYTES."""
-        per_row = 32 * sum(self._dim(k) ** 2 for k in blocks) + (16 if sense != "==" else 0)
+        per_row = sum(16 * d * d + (8 if d == 1 else 16 * d * d) for d in map(self._dim, blocks)) \
+            + (8 if sense != "==" else 0)
         need = self.coefficient_bytes + rows * per_row
         if need > MAX_PROGRAM_BYTES:
             raise ValueError(f"the program needs {need / 2**30:.1f} GiB of constraint "

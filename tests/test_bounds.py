@@ -124,7 +124,7 @@ def _held_bytes(prob: sdp.SdpProblem) -> int:
     """Coefficient bytes held during a solve: the problem's rows and the solver's stacks."""
     form = sdp.solver._StandardForm(prob)
     return (sum(a.nbytes for con in prob.constraints for a in con.coeffs.values())
-            + sum(a.nbytes for a in form.A))
+            + sum(a.nbytes for a in form.A + form.vA))
 
 
 _PROGRAMS = {
@@ -159,6 +159,18 @@ class TestProgramLimits:
         monkeypatch.setattr(sdp.problem, "MAX_PROGRAM_BYTES", need - 1)
         with pytest.raises(ValueError, match="GiB"):
             _PROGRAMS[name](DEPOL)
+
+    def test_size_estimate_bounds_the_classical_storage(self, monkeypatch):
+        # every block of the classical program is diagonal, so the solver keeps
+        # 8·d bytes of each row's coefficient where d > 1 blocks are counted as dense
+        probs = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
+        w, _ = rand_classical_channel(np.random.default_rng(4), 3, 2)
+        classical_converse(w, 0.1)
+        classical_converse(w, 0.1, p=np.array([0.2, 0.3, 0.5]))
+        for prob in probs:
+            assert prob.coefficient_bytes >= _held_bytes(prob)
 
     def test_three_uses_are_admitted(self, monkeypatch):
         # about 1.0 GiB (ALL) and 2.0 GiB (PPT): every row is counted and admitted,
@@ -205,9 +217,36 @@ class TestProgramLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_four_fixed_input_uses_are_rejected_before_the_channel(self, monkeypatch, cls):
+        # 65,536 Hermitian R rows on 256 x 256 blocks: about 257 GiB (ALL)
+        def unbuilt(*args):
+            raise AssertionError("tensor_power ran for a rejected program")
+
+        monkeypatch.setattr(quantum, "tensor_power", unbuilt)
+        tracemalloc.start()
+        try:
+            for rho in (None, maximally_mixed(16)):
+                with pytest.raises(ValueError, match="GiB"):
+                    ea_bound(DEPOL, rho, 0.05, cls, n=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_fixed_input_uses_are_the_tensor_power(self):
+        # the same program, bit for bit, as on the two-use channel
+        res = ea_bound(DEPOL, None, 0.05, n=2)
+        assert res.beta == ea_bound(tensor_power(DEPOL, 2), maximally_mixed(4), 0.05).beta
+        assert res.n_uses == 2
+        with pytest.raises(ValueError, match="state dim"):
+            ea_bound(DEPOL, MU2, 0.05, n=2)
+
     def test_uses_must_be_positive(self):
         with pytest.raises(ValueError, match="n must be"):
             ea_bound_opt_rho(DEPOL, 0.05, n=0)
+        with pytest.raises(ValueError, match="n must be"):
+            ea_bound(DEPOL, MU2, 0.05, n=0)
 
 
 class TestEaBoundDual:
@@ -337,6 +376,13 @@ class TestClassicalConverse:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("eps", [0.01, 0.2])
+    def test_noiseless_sixteen_symbols(self, eps):
+        # w = I: beta = (1 - eps) / 16 on a program whose R blocks are 256 x 256
+        # diagonals, solved as vectors
+        res = classical_converse(np.eye(16), eps)
+        assert res.bits == pytest.approx(4.0 - np.log2(1.0 - eps), abs=1e-9)
 
     def test_diagonal_program_equals_full_program(self):
         # the phase-invariant (diagonal) R and rho_ref lose nothing on a classical channel

@@ -276,6 +276,19 @@ class TestExitCodes:
         assert cli.main(["bound", "--channel", str(chan), "--eps", "0.05", "--n", "4",
                          "--class", cls, "--rho", "optimize"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["bound", "--eps", "0.05", "--n", "4"],
+        ["bound", "--eps", "0.05", "--n", "4", "--class", "ppt"],
+        ["minentropy", "--eps", "0.25", "--n", "4", "--rate", "30"]])
+    def test_four_fixed_input_uses_are_2_before_the_channel(self, tmp_path, monkeypatch,
+                                                            command):
+        def unbuilt(*args):
+            raise AssertionError("tensor_power ran for a rejected program")
+
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        monkeypatch.setattr(quantum, "tensor_power", unbuilt)
+        assert cli.main([*command, "--channel", str(chan)]) == 2
+
     @pytest.mark.parametrize("rep,data", [
         ("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0]),
         ("kraus", [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import operator_equality
+from conftest import operator_equality, rand_classical_channel, rand_unitary
 from qconv import bounds, quantum
 from qconv.sdp import (SdpProblem, diagonal_basis, hermitian_basis, invariant_basis, solve,
                        verify)
@@ -326,12 +326,21 @@ def _depol_ppt_program():
                               invariant_basis((2, 2), 2), invariant_basis((2,), 2))
 
 
-def _dense_constraints(prob, dims):
+def _classical_program(p=None):
+    """The program of a seeded 3 x 3 classical channel on its diagonal embedding,
+    with an optimised input or at the input distribution ``p``."""
+    w, _ = rand_classical_channel(np.random.default_rng(33), 3, 3)
+    rho_ref = None if p is None else (lambda: np.diag(p).astype(complex))
+    return bounds._ea_problem((3, 3), lambda: bounds._embedding_choi(w), 0.1,
+                              bounds.TestClass.ALL, rho_ref, diagonal_basis(9), diagonal_basis(3))
+
+
+def _dense_constraints(prob, sf):
     """Per block, the (m, d, d) tensor of every row's coefficient, zero where
     the row does not touch the block; inequality rows get their 1x1 slack
     blocks after the problem's own, as the solver orders them."""
     m = len(prob.constraints)
-    dense = [np.zeros((m, d, d), dtype=complex) for d in dims]
+    dense = [np.zeros((m, d, d), dtype=complex) for d, *_ in sf.blocks()]
     slack = len(prob.block_dims)
     for i, con in enumerate(prob.constraints):
         for k, a in con.coeffs.items():
@@ -342,37 +351,114 @@ def _dense_constraints(prob, dims):
     return dense
 
 
+def _split(sf, blocks):
+    """Per-block matrices, in the problem's order, as the solver's dense
+    blocks and vector."""
+    dense, vec = [], np.zeros(sf.c.size)
+    for (vector, j), x in zip(sf.layout, blocks):
+        if vector:
+            vec[sf.slices[j]] = np.diagonal(x).real
+        else:
+            dense.append(x)
+    return dense, vec
+
+
 def _random_hermitian(rng, d, definite=False):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return g @ g.conj().T + 0.5 * np.eye(d) if definite else (g + g.conj().T) / 2
 
 
+# the n = 2 PPT program, whose three 1x1 blocks are vector blocks, and a
+# program that is vector blocks only
+_KERNEL_PROGRAMS = (_depol_ppt_program, _classical_program)
+
+
 class TestStandardFormKernels:
+    def test_vector_blocks(self):
+        # the three 1x1 blocks of the PPT program (acceptance, trace and the
+        # lambda row's slack) are vector blocks; every classical block is one
+        sf = _StandardForm(_depol_ppt_program())
+        assert sf.dims == [16, 16, 4, 16, 16, 4] and sf.vdims == [1, 1, 1]
+        sf = _StandardForm(_classical_program())
+        assert sf.dims == [] and sf.vdims == [9, 9, 3, 1, 3, 1, 1]
+        assert [a.shape for a in sf.vA] == [(9, 9), (12, 9), (10, 3), (9, 1), (3, 3), (3, 1),
+                                            (1, 1)]
+
     def test_schur_matches_dense_definition(self, rng):
-        prob = _depol_ppt_program()
-        sf = _StandardForm(prob)
-        dense = _dense_constraints(prob, sf.dims)
-        W = [_random_hermitian(rng, d, definite=True) for d in sf.dims]
-        want = np.zeros((sf.m, sf.m))
-        for a, w in zip(dense, W):
-            wa = w @ a @ w
-            want += np.real(a.conj().reshape(sf.m, -1) @ wa.reshape(sf.m, -1).T)
-        got = _schur(sf, W)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for program in _KERNEL_PROGRAMS:
+            prob = program()
+            sf = _StandardForm(prob)
+            dense = _dense_constraints(prob, sf)
+            # a vector block's scaling point is diagonal
+            W = [np.diag(rng.uniform(0.5, 2.0, size=d)).astype(complex) if vector
+                 else _random_hermitian(rng, d, definite=True)
+                 for (vector, _), (d, *_) in zip(sf.layout, sf.blocks())]
+            want = np.zeros((sf.m, sf.m))
+            for a, w in zip(dense, W):
+                wa = w @ a @ w
+                want += np.real(a.conj().reshape(sf.m, -1) @ wa.reshape(sf.m, -1).T)
+            got = _schur(sf, *_split(sf, W))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_apply_and_adjoint(self, rng):
-        prob = _depol_ppt_program()
+        for program in _KERNEL_PROGRAMS:
+            prob = program()
+            sf = _StandardForm(prob)
+            dense = _dense_constraints(prob, sf)
+            X = [_random_hermitian(rng, d) for d, *_ in sf.blocks()]
+            y = rng.normal(size=sf.m)
+            a_x = sf.apply(*_split(sf, X))
+            assert_allclose(a_x, sum(np.einsum("iab,ab->i", a.conj(), x).real
+                                     for a, x in zip(dense, X)), rtol=0, atol=1e-12)
+            # the dense definition of A*(y), diagonal on every vector block
+            want = [np.einsum("i,iab->ab", y, a) for a in dense]
+            for (vector, _), w in zip(sf.layout, want):
+                assert not vector or np.count_nonzero(w - np.diag(np.diagonal(w))) == 0
+            got_dense, got_vec = sf.adjoint(y)
+            want_dense, want_vec = _split(sf, want)
+            for g, w in zip(got_dense, want_dense):
+                assert_allclose(g, w, rtol=0, atol=1e-12)
+            assert_allclose(got_vec, want_vec, rtol=0, atol=1e-12)
+
+
+class TestVectorBlocks:
+    def test_rotated_block_is_dense_with_the_same_optimum(self):
+        # conjugating one diagonal block's objective and coefficients by a
+        # unitary maps its PSD cone onto itself, so the optimum stays; the
+        # block is then solved dense, the rest of the program as vectors
+        prob = _classical_program(p=np.array([0.2, 0.3, 0.5]))
+        u = rand_unitary(np.random.default_rng(5), 9)
+
+        def rotate(k, a):
+            return u @ a @ u.conj().T if k == bounds._CAP else a
+
+        rotated = SdpProblem(list(prob.block_dims))
+        for k, c in prob.objective.items():
+            rotated.set_objective(k, rotate(k, c))
+        for con in prob.constraints:
+            rotated.add_constraint({k: rotate(k, a) for k, a in con.coeffs.items()},
+                                   con.rhs, con.sense)
+        assert _StandardForm(prob).dims == []
+        assert _StandardForm(rotated).dims == [9]
+        sol, sol_rot = solve(prob), solve(rotated)
+        assert sol.status == sol_rot.status == "optimal"
+        assert sol_rot.primal_objective == pytest.approx(sol.primal_objective, rel=1e-7)
+        assert sol_rot.dual_objective == pytest.approx(sol.dual_objective, rel=1e-7)
+
+    def test_one_off_diagonal_coefficient_keeps_a_block_dense(self):
+        off = np.zeros((3, 3))
+        off[0, 2] = off[2, 0] = 0.5
+        prob = SdpProblem([3, 3])
+        prob.set_objective(0, np.diag([1.0, 2.0, 3.0]))
+        prob.set_objective(1, np.eye(3))
+        prob.add_constraint({0: np.eye(3), 1: np.diag([1.0, 0.0, 0.0])}, 1.0)
+        prob.add_constraint({0: np.diag([0.0, 1.0, 0.0]) + off, 1: np.eye(3)}, 0.2)
         sf = _StandardForm(prob)
-        dense = _dense_constraints(prob, sf.dims)
-        X = [_random_hermitian(rng, d) for d in sf.dims]
-        y = rng.normal(size=sf.m)
-        a_x = sf.apply(X)
-        assert_allclose(a_x, sum(np.einsum("iab,ab->i", a.conj(), x).real
-                                 for a, x in zip(dense, X)), rtol=0, atol=1e-12)
-        a_star_y = sf.adjoint(y)
-        lhs = float(a_x @ y)
-        rhs = sum(np.real(np.sum(x.conj() * ay)) for x, ay in zip(X, a_star_y))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert sf.layout == [(False, 0), (True, 0)]
+        assert sf.dims == [3] and sf.vdims == [3]
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert np.count_nonzero(sol.primal_blocks[1] - np.diag(np.diagonal(sol.primal_blocks[1]))) == 0
 
 
 class TestSizeGuard:
@@ -392,15 +478,18 @@ class TestSizeGuard:
         assert prob.constraints == [] and prob.coefficient_bytes == 0
 
     def test_count_is_the_bytes_held(self):
-        # 4 equality rows on blocks of 2 and 3; a "<=" and a ">=" row, each of
-        # which also gets a 16-byte 1x1 slack coefficient in the solver
-        prob = SdpProblem([2, 3])
-        prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1))},
+        # 4 equality rows on blocks of 2 and 3, 32 bytes per entry, and on a 1x1
+        # block, 16 bytes here and 8 in the solver's vector; a "<=" and a ">="
+        # row, each of which also gets an 8-byte 1x1 slack coefficient in the solver
+        prob = SdpProblem([2, 3, 1])
+        prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1)),
+                                    2: lambda h: np.real(np.trace(h)) * np.eye(1)},
                                    hermitian_basis(2))
         prob.add_constraint({0: np.eye(2)}, 1.0, "<=")
         prob.add_constraint({1: np.eye(3)}, 0.5, ">=")
         sf = _StandardForm(prob)
         held = (sum(a.nbytes for con in prob.constraints for a in con.coeffs.values())
-                + sum(a.nbytes for a in sf.A))
-        assert len(sf.A) == 4
-        assert prob.coefficient_bytes == held == 4 * 32 * 13 + (32 * 4 + 16) + (32 * 9 + 16)
+                + sum(a.nbytes for a in sf.A + sf.vA))
+        assert len(sf.A) == 2 and len(sf.vA) == 3
+        assert prob.coefficient_bytes == held == \
+            4 * (32 * 13 + 24) + (32 * 4 + 8) + (32 * 9 + 8)
