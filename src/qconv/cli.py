@@ -1,15 +1,20 @@
 """Command-line front end: channel ingestion, bound grids, CSV/JSON emission.
 
-Subcommands: depol, bound, classical, capacity, chi, minentropy. Grid
-commands emit rows with the columns
+Subcommands: depol, bound, classical, capacity, chi, minentropy. The grid
+commands (depol, bound, classical) differ only in their (n, eps) points and
+the bound they evaluate; one runner evaluates the points one at a time
+(BLAS threading inside a point is left to numpy) and emits rows with the
+columns
 
     n,epsilon,test_class,beta,bound_bits,rate_bits_per_use,wall_ms
 
-sorted by (n, epsilon). Grid points are evaluated one at a time; BLAS
-threading inside a point is left to numpy. Numbers are serialized with 12
-significant digits and no locale dependence, so identical configurations
-produce identical output bytes. The wall_ms column is 0 unless --timing is
-passed (measured times would break byte-for-byte reproducibility).
+sorted by (n, epsilon). Numbers are serialized with 12 significant digits
+and no locale dependence, so identical configurations produce identical
+output bytes. The wall_ms column is 0 unless --timing is passed (measured
+times would break byte-for-byte reproducibility). A JSON value is float()
+of its CSV field, except test_class and a non-zero beta below float64
+range, which stay strings. The scalar flags (chi --eps, minentropy --eps
+and --n) take exactly one value.
 
 Exit codes: 0 success, 2 validation error, 3 solver failure.
 """
@@ -20,7 +25,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -159,39 +163,21 @@ def parse_n_list(text: str) -> list[int]:
     return out
 
 
-@dataclass
-class Row:
-    n: int
-    epsilon: float
-    test_class: str
-    beta: object
-    bound_bits: float
-    wall_ms: float
-
-    def fields(self) -> list[str]:
-        return [fmt(self.n), fmt(self.epsilon), self.test_class, fmt(self.beta),
-                fmt(self.bound_bits), fmt(self.bound_bits / self.n), fmt(self.wall_ms)]
-
-
-def emit_rows(rows: list[Row], path: str, form: str) -> None:
-    rows = sorted(rows, key=lambda r: (r.n, r.epsilon))
+def emit_rows(rows: list[tuple], path: str, form: str) -> None:
+    """Write ``(n, eps, test_class, beta, bits, wall_ms)`` rows sorted by (n, eps)."""
+    rows = sorted(rows, key=lambda r: r[:2])
+    lines = [[fmt(n), fmt(eps), cls, fmt(beta), fmt(bits), fmt(bits / n), fmt(ms)]
+             for n, eps, cls, beta, bits, ms in rows]
     if form == "csv":
-        text = "\n".join([CSV_HEADER] + [",".join(r.fields()) for r in rows]) + "\n"
+        text = "\n".join([CSV_HEADER] + [",".join(fields) for fields in lines]) + "\n"
     else:
         names = CSV_HEADER.split(",")
         payload = []
-        for r in rows:
-            obj = {}
-            for name, value in zip(names, r.fields()):
-                if name == "test_class":
-                    obj[name] = value
-                    continue
-                num = float(value)
-                mantissa = float(value.lower().split("e")[0])
-                if num == 0.0 and mantissa != 0.0:
-                    obj[name] = value  # beta below float64 range stays a string
-                else:
-                    obj[name] = num
+        for row, fields in zip(rows, lines):
+            obj = {name: value if name == "test_class" else float(value)
+                   for name, value in zip(names, fields)}
+            if obj["beta"] == 0.0 and row[3] != 0:
+                obj["beta"] = fields[3]  # beta below float64 range stays a string
             payload.append(obj)
         text = json.dumps(payload, indent=1) + "\n"
     if path == "-":
@@ -201,48 +187,40 @@ def emit_rows(rows: list[Row], path: str, form: str) -> None:
             fh.write(text)
 
 
-def _grid(args, work, points) -> list[Row]:
+def _grid(args, points, bound) -> int:
+    """Evaluate ``bound(n, eps)`` at each point in order and emit the rows."""
     rows = []
-    for point in points:
+    for n, eps in points:
         start = time.perf_counter()
-        row = work(point)
-        row.wall_ms = (time.perf_counter() - start) * 1e3 if args.timing else 0.0
-        rows.append(row)
-    return rows
+        res = bound(n, eps)
+        wall_ms = (time.perf_counter() - start) * 1e3 if args.timing else 0.0
+        rows.append((n, eps, res.test_class.value, res.beta, res.bits, wall_ms))
+    emit_rows(rows, args.out, args.format)
+    return 0
+
+
+def _single(values: list, flag: str):
+    """The one value of a scalar flag; a list or range of several is an error."""
+    if len(values) != 1:
+        raise ValueError(f"{flag} takes one value, got {len(values)}")
+    return values[0]
 
 
 def cmd_depol(args) -> int:
     eps_list = parse_eps_list(args.eps)
-    n_list = parse_n_list(args.n)
-
-    def work(point):
-        n, eps = point
-        res = bounds.depolarising_exact(args.d, args.p, n, eps)
-        return Row(n, eps, res.test_class.value, res.beta, res.bits, 0.0)
-
-    rows = _grid(args, work, [(n, e) for n in n_list for e in eps_list])
-    emit_rows(rows, args.out, args.format)
-    return 0
+    return _grid(args, [(n, eps) for n in parse_n_list(args.n) for eps in eps_list],
+                 lambda n, eps: bounds.depolarising_exact(args.d, args.p, n, eps))
 
 
 def cmd_bound(args) -> int:
     channel = load_channel(args.channel)
     eps_list = parse_eps_list(args.eps)
-    n_list = parse_n_list(args.n)
+    points = [(n, eps) for n in parse_n_list(args.n) for eps in eps_list]
     cls = TestClass(args.cls.upper())
-    rho_file = None if args.rho in ("optimize", "maximally-mixed") else load_state(args.rho)
-
-    def work(point):
-        n, eps = point
-        if args.rho == "optimize":
-            res = bounds.ea_bound_opt_rho(channel, eps, cls, n)
-        else:
-            res = bounds.ea_bound(channel, rho_file, eps, cls, n)
-        return Row(n, eps, res.test_class.value, res.beta, res.bits, 0.0)
-
-    rows = _grid(args, work, [(n, e) for n in n_list for e in eps_list])
-    emit_rows(rows, args.out, args.format)
-    return 0
+    if args.rho == "optimize":
+        return _grid(args, points, lambda n, eps: bounds.ea_bound_opt_rho(channel, eps, cls, n))
+    rho = None if args.rho == "maximally-mixed" else load_state(args.rho)
+    return _grid(args, points, lambda n, eps: bounds.ea_bound(channel, rho, eps, cls, n))
 
 
 def cmd_classical(args) -> int:
@@ -250,16 +228,8 @@ def cmd_classical(args) -> int:
     p = None
     if args.p and args.p != "optimize":
         p = _float_array(_load_json(args.p), "input distribution")
-    eps_list = parse_eps_list(args.eps)
-
-    def work(point):
-        _, eps = point
-        res = bounds.classical_converse(w, eps, p)
-        return Row(1, eps, res.test_class.value, res.beta, res.bits, 0.0)
-
-    rows = _grid(args, work, [(1, e) for e in eps_list])
-    emit_rows(rows, args.out, args.format)
-    return 0
+    return _grid(args, [(1, eps) for eps in parse_eps_list(args.eps)],
+                 lambda n, eps: bounds.classical_converse(w, eps, p))
 
 
 def cmd_capacity(args) -> int:
@@ -275,14 +245,14 @@ def cmd_capacity(args) -> int:
 def cmd_chi(args) -> int:
     channel = load_channel(args.channel)
     ensemble = load_ensemble(args.ensemble)
-    eps = parse_eps_list(args.eps)[0]
+    eps = _single(parse_eps_list(args.eps), "--eps")
     print(fmt(bounds.wang_renner_chi(ensemble, channel, eps)))
     return 0
 
 
 def cmd_minentropy(args) -> int:
-    eps = parse_eps_list(args.eps)[0]
-    n = parse_n_list(args.n)[0]
+    eps = _single(parse_eps_list(args.eps), "--eps")
+    n = _single(parse_n_list(args.n), "--n")
     if args.depol_d:
         res = bounds.depolarising_exact(args.depol_d, args.depol_p, n, eps)
     elif args.channel is None:

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 
 STATE_ATOL = 1e-10
-MAX_TENSOR_DIM = 1024  # largest input or output dimension tensor_power builds
+MAX_TENSOR_BYTES = 2**30  # Kraus operators plus Choi matrix that tensor_power may build
 
 
 class DensityMatrix:
@@ -207,11 +207,18 @@ def tensor_channels(e1: QuantumChannel, e2: QuantumChannel) -> QuantumChannel:
 
 
 def tensor_power(channel: QuantumChannel, n: int) -> QuantumChannel:
-    """n-fold parallel composition of a channel with itself."""
+    """n-fold parallel composition of a channel with itself.
+
+    The result holds K^n Kraus operators of d_out^n × d_in^n and a
+    (d_in·d_out)^n-square Choi matrix, all complex; when those exceed
+    ``MAX_TENSOR_BYTES`` it raises ``ValueError`` before building anything.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if channel.dim_in**n > MAX_TENSOR_DIM or channel.dim_out**n > MAX_TENSOR_DIM:
-        raise ValueError(f"tensor power dimension exceeds cap {MAX_TENSOR_DIM}")
+    d_in, d_out = channel.dim_in**n, channel.dim_out**n
+    size = 16 * (len(channel.kraus)**n * d_out * d_in + (d_in * d_out)**2)
+    if size > MAX_TENSOR_BYTES:
+        raise ValueError(f"tensor power needs {size} bytes, over the cap {MAX_TENSOR_BYTES}")
     out = channel
     for _ in range(n - 1):
         out = tensor_channels(out, channel)

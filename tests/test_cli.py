@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import mpmath as mp
@@ -25,6 +26,20 @@ def _write_depol_choi(path, p=0.15):
             "data": _mat_to_pairs(chan.choi)}
     path.write_text(json.dumps(spec))
     return path
+
+
+GRID_COMMANDS = ("depol", "bound", "classical")
+
+
+def _grid_argv(tmp_path, command):
+    """A grid command on a small input, short of --eps and --n."""
+    if command == "depol":
+        return ["depol", "--d", "2", "--p", "0.15"]
+    if command == "bound":
+        return ["bound", "--channel", str(_write_depol_choi(tmp_path / "depol.json"))]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"data": [[0.9, 0.2], [0.1, 0.8]]}))
+    return ["classical", "--channel", str(path)]
 
 
 class TestChannelParsing:
@@ -75,36 +90,47 @@ class TestArgumentParsing:
         assert mp.mpf(cli.fmt(tiny)) == pytest.approx(tiny, rel=1e-11)
 
 
-class TestDepolCommand:
-    def test_grid_shape_and_sorting(self, tmp_path):
+class TestGridCommands:
+    """depol, bound and classical share one grid runner and one emitter."""
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_grid_shape_and_sorting(self, tmp_path, command):
+        ns = {"depol": [3, 1, 2], "bound": [2, 1], "classical": [1]}[command]
+        eps = [0.25, 0.05, 0.1]
+        args = _grid_argv(tmp_path, command) + ["--eps", ",".join(map(str, eps))]
+        if command != "classical":
+            args += ["--n", ",".join(map(str, ns))]
         out = tmp_path / "grid.csv"
-        rc = cli.main(["depol", "--d", "2", "--p", "0.15", "--eps", "0.25,0.05",
-                       "--n", "1..3", "--out", str(out)])
-        assert rc == 0
+        assert cli.main(args + ["--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == cli.CSV_HEADER
-        assert len(lines) == 1 + 6
         keys = []
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == 7
             keys.append((int(fields[0]), float(fields[1])))
-        assert keys == sorted(keys)
+        assert keys == sorted((n, e) for n in ns for e in eps)
 
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_timing_flag_populates_wall_ms(self, tmp_path, command):
+        args = _grid_argv(tmp_path, command) + ["--eps", "0.05"]
+        if command != "classical":
+            args += ["--n", "50" if command == "depol" else "1"]
+        out = tmp_path / "grid.csv"
+        assert cli.main(args + ["--out", str(out), "--timing"]) == 0
+        wall = out.read_text().strip().splitlines()[1].split(",")[6]
+        assert float(wall) > 0.0
+
+
+class TestDepolCommand:
     @pytest.mark.parametrize("command,form", [("depol", "csv"), ("depol", "json"),
                                               ("bound", "csv"), ("bound", "json"),
                                               ("classical", "csv"), ("classical", "json")])
     def test_byte_determinism(self, tmp_path, command, form):
-        if command == "depol":
-            args = ["depol", "--d", "2", "--p", "0.15", "--eps", "1e-2,1e-4",
-                    "--n", "1..20"]
-        elif command == "bound":
-            args = ["bound", "--channel", str(_write_depol_choi(tmp_path / "depol.json")),
-                    "--eps", "0.05,0.25", "--n", "1,2"]
-        else:
-            path = tmp_path / "w.json"
-            path.write_text(json.dumps({"data": [[0.9, 0.2], [0.1, 0.8]]}))
-            args = ["classical", "--channel", str(path), "--eps", "0.05,0.25"]
+        args = _grid_argv(tmp_path, command) + {
+            "depol": ["--eps", "1e-2,1e-4", "--n", "1..20"],
+            "bound": ["--eps", "0.05,0.25", "--n", "1,2"],
+            "classical": ["--eps", "0.05,0.25"]}[command]
         out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
         assert cli.main(args + ["--format", form, "--out", str(out1)]) == 0
         assert cli.main(args + ["--format", form, "--out", str(out2)]) == 0
@@ -141,12 +167,26 @@ class TestDepolCommand:
         assert isinstance(beta, str)
         assert mp.mpf(beta) > 0
 
-    def test_timing_flag_populates_wall_ms(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        cli.main(["depol", "--d", "2", "--p", "0.15", "--eps", "0.05",
-                  "--n", "50", "--out", str(out), "--timing"])
-        wall = out.read_text().strip().splitlines()[1].split(",")[6]
-        assert float(wall) > 0.0
+    # The output bytes are part of the interface, so they are frozen as
+    # digests. Only depol is frozen: its arithmetic is integer and mpmath,
+    # so its bytes do not depend on the platform, while the SDP commands'
+    # last digits follow the BLAS build's rounding.
+    @pytest.mark.parametrize("args,form,digest", [
+        pytest.param(["--eps", "1e-2,1e-4,1e-6", "--n", "1..400"], "csv",
+                     "a8659b85fa6664d1d5fe0c03e2362453b35248aa19dc88f9b82d393ba6eaa1ff",
+                     id="sweep-csv"),
+        pytest.param(["--eps", "1e-2,1e-4,1e-6", "--n", "1..400"], "json",
+                     "420e90f74db0ac83c21e92d886be9873dadf371545ff151222c630583a40131b",
+                     id="sweep-json"),
+        # beta = 1.05e-366 is below float64 range, so it is a JSON string
+        pytest.param(["--eps", "0.01", "--n", "1000"], "json",
+                     "8ea41b41a8ada710f890f37b2f2b15abe0028b0e469e865f6b8926bf04bd289a",
+                     id="n1000-json")])
+    def test_bytes_match_frozen_digest(self, tmp_path, args, form, digest):
+        out = tmp_path / f"grid.{form}"
+        assert cli.main(["depol", "--d", "2", "--p", "0.15", *args,
+                         "--format", form, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestOtherCommands:
@@ -339,6 +379,23 @@ class TestExitCodes:
             (tmp_path / "p.json").write_text(json.dumps(p))
             argv += ["--p", str(tmp_path / "p.json")]
         assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        pytest.param(["chi", "--eps", "0.05,0.1"], "--eps", id="chi-eps"),
+        pytest.param(["minentropy", "--eps", "0.25,0.9", "--n", "20"], "--eps",
+                     id="minentropy-eps"),
+        pytest.param(["minentropy", "--eps", "0.25", "--n", "20,1..5"], "--n",
+                     id="minentropy-n")])
+    def test_scalar_flag_with_several_values_is_2(self, tmp_path, capsys, command, flag):
+        if command[0] == "chi":
+            chan = _write_identity_channel(tmp_path / "id.json")
+            ens = tmp_path / "ens.json"
+            ens.write_text(json.dumps({"probs": [1.0], "states": [_mat_to_pairs(np.eye(2) / 2)]}))
+            command = [*command, "--channel", str(chan), "--ensemble", str(ens)]
+        else:
+            command = [*command, "--depol-d", "2", "--depol-p", "0.15", "--rate", "30"]
+        assert cli.main(command) == 2
+        assert f"{flag} takes one value" in capsys.readouterr().err
 
     def test_minentropy_without_channel_is_2(self):
         assert cli.main(["minentropy", "--eps", "0.25", "--rate", "30.0"]) == 2

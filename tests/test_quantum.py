@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -131,6 +133,19 @@ class TestTensorPower:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
             tensor_power(identity_channel(4), 6)
+
+    @pytest.mark.parametrize("chan,n", [
+        (identity_channel(2), 7),  # a 4 GiB Choi matrix
+        (depolarising_channel(2, 0.15), 8)])  # 65,536 Kraus operators, 64 GiB
+    def test_oversized_power_is_rejected_before_allocating(self, chan, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                tensor_power(chan, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEntropy:
