@@ -1,4 +1,18 @@
-"""Finite-blocklength converse bounds for classical coding over quantum channels."""
+"""Finite-blocklength converse bounds for classical coding over quantum channels.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has
+set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
+OpenBLAS reads it when numpy first loads, so it holds in any process that
+imports qconv before numpy, the ``qconv`` command included. The solver's
+dense kernels are small, and a second BLAS thread spends CPU on them
+without shortening a solve.
+"""
+
+import os
+
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                     "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .bounds import (BoundResult, SolverFailure, TestClass, binary_entropy,
                      binary_relative_entropy, classical_converse, depolarising_exact,

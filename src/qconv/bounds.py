@@ -24,6 +24,13 @@ The optimized-input bound for n uses takes the operators invariant under
 permuting the uses, and the classical converse the diagonal ones. A fixed
 input need not be invariant, so programs at a fixed input take every
 Hermitian coordinate.
+
+The same symmetry makes every coefficient of the program's blocks
+block-diagonal in a fixed frame, so each block is declared with it and
+solved as its diagonal sub-blocks (``sdp.Frame``): the Schur-Weyl blocks
+of the n-use space (10 and 6 for the 16 x 16 blocks of two uses of a qubit
+channel; 20, 20, 20 and 4 at three uses), or 1x1 blocks for the classical
+converse (Murota, Kanno, Kojima & Kojima, JJIAM 2010).
 """
 
 from __future__ import annotations
@@ -126,8 +133,8 @@ _POS, _CAP, _G, _ACC = range(4)
 
 
 def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
-                rho_ref, r_basis: sdp.Basis,
-                rho_basis: sdp.Basis | None = None) -> sdp.SdpProblem:
+                rho_ref, r_basis: sdp.Basis, rho_basis: sdp.Basis | None = None,
+                g_frame: sdp.Frame | None = None) -> sdp.SdpProblem:
     """Assemble the converse program as linear matrix inequalities.
 
     The unknowns are the solver's dual variables y, in row order: the
@@ -141,11 +148,18 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     reference state. The R rows are declared first, so that a program
     over ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected before either is
     called or any coefficient is built.
+
+    The blocks in R (R >= 0, R <= rho_ref ⊗ I and both PPT blocks) are
+    declared with ``r_basis.frame``, the rho_ref block with
+    ``rho_basis.frame`` and the adversary's block with ``g_frame``: the
+    symmetry that restricts R and rho_ref makes every coefficient on them
+    block-diagonal there.
     """
     da, db = dims
     dab = da * db
     choi = functools.cache(choi)  # every R row reads it; built once, with the first row
-    prob = sdp.SdpProblem([dab, dab, db, 1])  # _POS, _CAP, _G, _ACC
+    ab = r_basis.frame
+    prob = sdp.SdpProblem([dab, dab, db, 1], [ab, ab, g_frame, None])  # _POS, _CAP, _G, _ACC
     caps = [_CAP]
     r_terms = {_POS: lambda h: -h,
                _CAP: lambda h: h,
@@ -153,7 +167,7 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
                _ACC: lambda h: -np.real(np.sum(choi().conj() * h)) * np.eye(1)}
     if cls is TestClass.PPT:
         # R^{T_B} >= 0 and rho_ref ⊗ I - R^{T_B} >= 0 in the same R rows
-        ppt, ppt_cap = prob.add_block(dab), prob.add_block(dab)
+        ppt, ppt_cap = prob.add_block(dab, ab), prob.add_block(dab, ab)
         caps.append(ppt_cap)
         r_terms[ppt] = lambda h: -linalg.partial_transpose(h, (da, db), "b")
         r_terms[ppt_cap] = lambda h: linalg.partial_transpose(h, (da, db), "b")
@@ -168,7 +182,7 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     if rho_ref is None:
         # rho_ref >= 0 and 1 - Tr rho_ref >= 0; Tr rho_ref <= 1 has the same
         # optimum as Tr rho_ref = 1, since a larger rho_ref only loosens the caps
-        rho, trace = prob.add_block(da), prob.add_block(1)
+        rho, trace = prob.add_block(da, rho_basis.frame), prob.add_block(1)
         rho_terms = {k: (lambda g: -np.kron(g, eye_b)) for k in caps}
         rho_terms[rho] = lambda g: -g
         rho_terms[trace] = lambda g: np.real(np.trace(g)) * np.eye(1)
@@ -178,8 +192,8 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
 
 
 def _ea_bound(dims: tuple[int, int], choi, eps: float, cls: TestClass,
-              rho_ref, r_basis: sdp.Basis,
-              rho_basis: sdp.Basis | None = None, n: int = 1) -> BoundResult:
+              rho_ref, r_basis: sdp.Basis, rho_basis: sdp.Basis | None = None,
+              g_frame: sdp.Frame | None = None, n: int = 1) -> BoundResult:
     """Solve ``_ea_problem`` and read the bound off its solution.
 
     beta = lambda = -(dual objective); R and rho_ref are rebuilt from the
@@ -189,7 +203,7 @@ def _ea_bound(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     """
     _require_class(cls)
     eps_c = _clamp_eps(eps)
-    solution = _solve(_ea_problem(dims, choi, eps_c, cls, rho_ref, r_basis, rho_basis))
+    solution = _solve(_ea_problem(dims, choi, eps_c, cls, rho_ref, r_basis, rho_basis, g_frame))
     y = solution.dual_multipliers
     g = linalg.hermitian_part(solution.primal_blocks[_G])
     rho_mat = None
@@ -288,7 +302,8 @@ def ea_bound_opt_rho(channel: QuantumChannel, eps: float,
         raise ValueError("n must be >= 1")
     da, db = channel.dim_in, channel.dim_out
     return _ea_bound((da**n, db**n), lambda: quantum.tensor_power(channel, n).choi, eps, cls,
-                     None, sdp.invariant_basis((da, db), n), sdp.invariant_basis((da,), n), n)
+                     None, sdp.invariant_basis((da, db), n), sdp.invariant_basis((da,), n),
+                     sdp.invariant_frame((db,), n), n)
 
 
 def binary_entropy(p: float) -> float:
@@ -385,7 +400,8 @@ def classical_converse(w: np.ndarray, eps: float,
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     if p is None:
         res = _ea_bound((na, nb), lambda: _embedding_choi(w), eps, TestClass.ALL, None,
-                        sdp.diagonal_basis(na * nb), sdp.diagonal_basis(na))
+                        sdp.diagonal_basis(na * nb), sdp.diagonal_basis(na),
+                        sdp.diagonal_frame(nb))
         p = _distribution(np.diag(res.optimal_rho).real)
     else:
         p = np.asarray(p, dtype=float)
@@ -396,7 +412,8 @@ def classical_converse(w: np.ndarray, eps: float,
         used = p > 0  # unused input symbols would leave the program without an interior
         k = int(used.sum())
         res = _ea_bound((k, nb), lambda: _embedding_choi(w[:, used]), eps, TestClass.ALL,
-                        lambda: np.diag(p[used]).astype(complex), sdp.diagonal_basis(k * nb))
+                        lambda: np.diag(p[used]).astype(complex), sdp.diagonal_basis(k * nb),
+                        g_frame=sdp.diagonal_frame(nb))
     q = _distribution(np.diag(res.optimal_sigma).real)
     joint = (w * p[None, :]).T.reshape(-1)  # index a*nb + b
     beta = classical_np_beta(joint, np.outer(p, q).reshape(-1), eps).beta

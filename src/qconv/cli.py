@@ -2,8 +2,9 @@
 
 Subcommands: depol, bound, classical, capacity, chi, minentropy. The grid
 commands (depol, bound, classical) differ only in their (n, eps) points and
-the bound they evaluate; one runner evaluates the points one at a time
-(BLAS threading inside a point is left to numpy) and emits rows with the
+the bound they evaluate; one runner evaluates the points one at a time,
+each on one OpenBLAS thread unless the caller's environment sets the
+thread count (see the ``qconv`` package), and emits rows with the
 columns
 
     n,epsilon,test_class,beta,bound_bits,rate_bits_per_use,wall_ms

@@ -20,9 +20,17 @@ basis, the diagonal one, or the permutation-invariant one of n uses, whose
 span holds an optimum when the program's data is invariant (Gatermann &
 Parrilo, *Symmetry groups, semidefinite programs, and sums of squares*,
 JPAA 2004).
+
+A block may be declared with a ``Frame``: an orthonormal basis of its space
+in which every coefficient on the block, and its objective, is
+block-diagonal. The same symmetry that restricts the unknowns forces this
+structure (the Schur-Weyl decomposition for permutations of n uses, 1x1
+blocks for diagonal phases), and a block-diagonal linear matrix inequality
+holds exactly when each of its diagonal sub-blocks is PSD (Murota, Kanno,
+Kojima & Kojima, JJIAM 2010). Such a block keeps only those sub-blocks.
 Scalar inequality rows are converted to equalities with 1x1 slack blocks
-inside the solver, which holds every block with a diagonal objective and
-diagonal coefficients, the 1x1 ones included, as real vector entries.
+inside the solver, which holds every 1x1 block and sub-block as a real
+vector entry.
 
 A problem counts, as its rows are declared, the coefficient bytes it will
 hold during a solve, and rejects rows that would take the program over
@@ -31,6 +39,8 @@ MAX_PROGRAM_BYTES before building any of their coefficients.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,39 +54,116 @@ MAX_PROGRAM_BYTES = 4 * 2**30  # admits the three-use qubit programs, both class
 
 @dataclass
 class LinearConstraint:
-    """One scalar constraint: sum over blocks of <coeff, X_block> sense rhs."""
+    """One scalar constraint: sum over blocks of <coeff, X_block> sense rhs.
+
+    A coefficient on a framed block is its packed sub-blocks (``Frame.pack``);
+    on any other block it is the d x d matrix."""
 
     coeffs: dict[int, np.ndarray]
     rhs: float
     sense: str = "=="
 
 
+FRAME_RTOL = 1e-6  # off-block mass, relative to the coefficient, at which packing fails
+
+
+class Frame:
+    """An orthonormal basis U = [U_1 ... U_r] of C^d, in groups of ``sizes``
+    columns, in which every coefficient of a block is block-diagonal.
+
+    ``pack(a)`` keeps the sub-blocks U_iᵀ a U_i, flattened one after another
+    into sum(s²) entries; ``unpack`` maps such a vector back to
+    U (X_1 ⊕ ... ⊕ X_r) Uᵀ. ``build()`` returns U, real orthogonal, and is
+    called on first use of ``unitary``; a frame without it is the standard
+    basis in 1x1 groups.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], build=None):
+        self.sizes = tuple(int(s) for s in sizes)
+        self.dim = sum(self.sizes)
+        self._build = build
+
+    @functools.cached_property
+    def unitary(self) -> np.ndarray | None:
+        return None if self._build is None else self._build()
+
+    def _groups(self):
+        ends = np.cumsum([0, *self.sizes])
+        return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """The diagonal sub-blocks of Hermitian ``a`` in this frame, packed;
+        raises if ``a`` has off-block mass above FRAME_RTOL of its norm."""
+        u = self.unitary
+        if u is None:
+            packed = np.diagonal(a).copy()
+        else:
+            nz = np.flatnonzero(a)
+            if nz.size * sum(s * s for s in self.sizes) < self.dim ** 3:
+                # a sparse a: each sub-block sums its nonzero entries times
+                # the outer products of rows of U
+                p, q = np.divmod(nz, self.dim)
+                left, right = u[p] * a.reshape(-1)[nz][:, None], u[q]
+                pieces = [left[:, c].T @ right[:, c] for c in self._groups()]
+            else:
+                t = u.T @ a @ u
+                pieces = [t[c, c] for c in self._groups()]
+            packed = np.concatenate([(x + x.conj().T).reshape(-1) / 2 for x in pieces])
+        total = float(np.vdot(a, a).real)
+        if total - float(np.vdot(packed, packed).real) > FRAME_RTOL**2 * total:
+            raise ValueError("coefficient is not block-diagonal in the block's frame")
+        return packed
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The d x d operator whose packed sub-blocks are ``packed``."""
+        u = self.unitary
+        if u is None:
+            return np.diag(packed).astype(complex)
+        x = np.zeros((self.dim, self.dim), dtype=complex)
+        start = 0
+        for c, s in zip(self._groups(), self.sizes):
+            x[c, c] = packed[start:start + s * s].reshape(s, s)
+            start += s * s
+        return u @ x @ u.T
+
+
+def diagonal_frame(d: int) -> Frame:
+    """The standard basis of C^d in 1x1 groups: the frame of diagonal blocks."""
+    return Frame((1,) * d)
+
+
 class SdpProblem:
     """Container and validator for a block-diagonal Hermitian SDP.
 
+    ``frames[k]`` is block k's ``Frame``, or None for a block kept whole.
     ``coefficient_bytes`` is what the declared rows will hold during a
-    solve. Each row keeps its own d x d complex coefficient here, 16·d²
-    bytes, and the solver keeps a second copy in its per-block stack:
-    8 bytes on a 1x1 block, which the solver holds as a real vector entry,
-    and 16·d² on a larger block. The solver also gives each inequality
-    row a 1x1 slack coefficient, 8 bytes. The count is exact, except on a
-    d > 1 block whose objective and coefficients all turn out diagonal:
-    the solver keeps only their 8·d real diagonal bytes, so the count is
-    an upper bound there.
+    solve, and it is exact. Each row keeps its own coefficient here: 16
+    bytes per entry of the packed sub-blocks on a framed block, or of the
+    d x d matrix on another. The solver keeps a second copy, split into
+    the same sub-blocks (a block kept whole is one): 16·s² bytes on an
+    s x s sub-block with s > 1 and 8 on a 1x1 one, which it holds as a real
+    vector entry. It also gives each inequality row a 1x1 slack
+    coefficient, 8 bytes.
     """
 
-    def __init__(self, block_dims: list[int]):
-        if not block_dims or any(int(d) < 1 for d in block_dims):
+    def __init__(self, block_dims: list[int], frames: list[Frame | None] | None = None):
+        if not block_dims:
             raise ValueError(f"invalid block dimensions {block_dims}")
-        self.block_dims = [int(d) for d in block_dims]
+        self.block_dims: list[int] = []
+        self.frames: list[Frame | None] = []
+        for d, frame in zip(block_dims, frames or [None] * len(block_dims), strict=True):
+            self.add_block(d, frame)
         self.objective: dict[int, np.ndarray] = {}
         self.constraints: list[LinearConstraint] = []
         self.coefficient_bytes = 0
 
-    def add_block(self, dim: int) -> int:
-        if dim < 1:
+    def add_block(self, dim: int, frame: Frame | None = None) -> int:
+        if int(dim) < 1:
             raise ValueError("block dimension must be >= 1")
+        if frame is not None and frame.dim != dim:
+            raise ValueError(f"frame of dimension {frame.dim} on a block of dimension {dim}")
         self.block_dims.append(int(dim))
+        self.frames.append(frame)
         return len(self.block_dims) - 1
 
     def _dim(self, k: int) -> int:
@@ -84,11 +171,16 @@ class SdpProblem:
             raise ValueError(f"unknown block index {k}")
         return self.block_dims[k]
 
+    def sub_blocks(self, k: int) -> tuple[int, ...]:
+        """The sizes of block k's diagonal sub-blocks: its frame's, or (d,)."""
+        d = self._dim(k)
+        return (d,) if self.frames[k] is None else self.frames[k].sizes
+
     def _admit(self, rows: int, blocks, sense: str) -> None:
         """Count ``rows`` more rows with coefficients on ``blocks``; reject the
         program, before any of them is built, if it would pass MAX_PROGRAM_BYTES."""
-        per_row = sum(16 * d * d + (8 if d == 1 else 16 * d * d) for d in map(self._dim, blocks)) \
-            + (8 if sense != "==" else 0)
+        per_row = sum(16 * s * s + (8 if s == 1 else 16 * s * s)
+                      for k in blocks for s in self.sub_blocks(k)) + (8 if sense != "==" else 0)
         need = self.coefficient_bytes + rows * per_row
         if need > MAX_PROGRAM_BYTES:
             raise ValueError(f"the program needs {need / 2**30:.1f} GiB of constraint "
@@ -100,7 +192,8 @@ class SdpProblem:
         a = np.atleast_2d(np.asarray(a, dtype=complex))
         if a.shape != (d, d):
             raise ValueError(f"coefficient shape {a.shape} does not match block dim {d}")
-        return linalg.require_hermitian(a, rtol=1e-10)
+        a = linalg.require_hermitian(a, rtol=1e-10)
+        return a if self.frames[k] is None else self.frames[k].pack(a)
 
     def set_objective(self, k: int, c) -> None:
         self.objective[k] = self._check_coeff(k, c)
@@ -140,10 +233,12 @@ class Basis:
 
     Its length is known in closed form; iterating builds the elements one
     at a time, so a program can be sized, and rejected, before any exists.
+    ``frame`` is a ``Frame`` in which every element is block-diagonal, or
+    None.
     """
 
-    def __init__(self, size: int, elements):
-        self._size, self._elements = size, elements
+    def __init__(self, size: int, elements, frame: Frame | None = None):
+        self._size, self._elements, self.frame = size, elements, frame
 
     def __len__(self) -> int:
         return self._size
@@ -166,7 +261,7 @@ def diagonal_basis(d: int) -> Basis:
             e[i, i] = 1.0
             yield e
 
-    return Basis(d, elements)
+    return Basis(d, elements, diagonal_frame(d))
 
 
 def _use_orbits(dims: tuple[int, ...], n: int) -> np.ndarray:
@@ -198,7 +293,8 @@ def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
     orbit O equal to its transpose gives O/|O|^½, and a pair O ≠ Oᵀ gives
     (O + Oᵀ) and i(O - Oᵀ), each over (2|O|)^½. There is one element per
     orbit, C(D² + n - 1, n) for D = d_1···d_f. Elements come in the row-major
-    order of the first upper-triangular unit of their orbits.
+    order of the first upper-triangular unit of their orbits. For n >= 2
+    the basis carries ``invariant_frame(dims, n)``.
     """
     d_loc = math.prod(dims)
 
@@ -223,7 +319,83 @@ def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
             e[mask.T] = -1j * s
             yield e
 
-    return Basis(math.comb(d_loc * d_loc + n - 1, n), elements)
+    return Basis(math.comb(d_loc * d_loc + n - 1, n), elements, invariant_frame(dims, n))
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most ``largest``, largest first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def _schur_weyl_sizes(d: int, n: int) -> tuple[int, ...]:
+    """The sub-block sizes of the operators on (C^d)^⊗n that commute with
+    permuting the uses: for each partition λ of n into at most d parts, the
+    dimension of the GL(d) irrep λ (hook-content formula) repeated as often
+    as the dimension of the S_n irrep λ (hook-length formula), in
+    decreasing order."""
+    sizes = []
+    for lam in _partitions(n, n):
+        if len(lam) > d:
+            continue
+        column = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+        hooks = contents = 1
+        for i, row in enumerate(lam):
+            for j in range(row):
+                hooks *= row - j + column[j] - i - 1
+                contents *= d + j - i
+        sizes += [contents // hooks] * (math.factorial(n) // hooks)
+    return tuple(sorted(sizes, reverse=True))
+
+
+FRAME_SEED = 2004
+
+
+def invariant_frame(dims: tuple[int, ...], n: int) -> Frame | None:
+    """The frame in which every use-permutation-invariant operator on n uses
+    of C^d_1 ⊗ ... ⊗ C^d_f (stored as in ``invariant_basis``) is
+    block-diagonal, or None for n = 1.
+
+    Its columns are the eigenvectors of A = sum_π c_π (P_π + P_πᵀ), for the
+    permutation matrices P_π of the uses and fixed-seed random c_π (Murota,
+    Kanno, Kojima & Kojima, JJIAM 2010). An invariant operator commutes with
+    A, so it maps each eigenspace of A into itself; for generic c the
+    eigenspaces are the Schur-Weyl ones, one of dimension m_λ for each of the
+    d_λ copies of each irrep λ. Every copy is kept, so the frame spans the
+    whole space. Its groups are in decreasing size, ties in increasing
+    eigenvalue; their sizes are known before U is built.
+    """
+    if n < 2:
+        return None
+    size = math.prod(dims) ** n
+    sizes = _schur_weyl_sizes(math.prod(dims), n)
+
+    def build():
+        index = np.arange(size).reshape([d for d in dims for _ in range(n)])
+        every = np.arange(size)
+        rng = np.random.default_rng(FRAME_SEED)
+        a = np.zeros((size, size))
+        for perm in itertools.permutations(range(n)):
+            p = index.transpose([f * n + k for f in range(len(dims)) for k in perm]).reshape(-1)
+            c = rng.standard_normal()
+            a[every, p] += c
+            a[p, every] += c
+        w, v = np.linalg.eigh(a)
+        gaps = np.diff(w)
+        cuts = np.sort(np.argsort(gaps)[size - len(sizes):]) + 1
+        groups = np.split(every, cuts)
+        spread = max(float(w[g[-1]] - w[g[0]]) for g in groups)
+        if sorted(map(len, groups), reverse=True) != list(sizes) \
+                or (cuts.size and spread > 1e-6 * float(gaps[cuts - 1].min())):
+            raise RuntimeError(f"the eigenspaces of the frame's random element are not "
+                               f"the Schur-Weyl ones of sizes {sizes}")
+        groups.sort(key=lambda g: (-len(g), w[g[0]]))
+        return v[:, np.concatenate(groups)]
+
+    return Frame(sizes, build)
 
 
 def hermitian_basis(d: int) -> Basis:
@@ -269,10 +441,13 @@ def verify(problem: SdpProblem, solution: SdpSolution) -> VerifyReport:
     b_scale = 1.0 + max((abs(c.rhs) for c in problem.constraints), default=0.0)
     max_eq = 0.0
     max_ineq = 0.0
+    # a framed block's coefficients are packed, so its primal block is too
+    primal = [x if frame is None else frame.pack(x)
+              for frame, x in zip(problem.frames, solution.primal_blocks)]
     for idx, con in enumerate(problem.constraints):
         value = 0.0
         for k, a in con.coeffs.items():
-            value += float(np.real(np.sum(a.conj() * solution.primal_blocks[k])))
+            value += float(np.real(np.sum(a.conj() * primal[k])))
         if con.sense == "==":
             viol = abs(value - con.rhs)
             max_eq = max(max_eq, viol)

@@ -6,28 +6,37 @@ up front, so the core iteration only sees the standard equality form
 
     min sum_k <C_k, X_k>   s.t.   sum_k <A_ik, X_k> = b_i,   X_k >= 0.
 
-A block whose objective and coefficients are all diagonal is a vector
-block: only diag(X_k) enters the objective and the rows, and X_k >= 0
-exactly when diag(X_k) >= 0, while its dual slack C_k - sum_i y_i A_ik is
-diagonal and so PSD exactly when it is entrywise >= 0. Every 1x1 block is
-one, the slacks included. All vector blocks together are one pair of
-nonnegative vectors x, s, scaled, stepped and corrected elementwise with
-the arithmetic of a 1x1 block; the other blocks are dense.
+A block declared with a frame is solved as its diagonal sub-blocks: its
+objective and coefficients are block-diagonal in the frame, so only those
+sub-blocks of X_k enter, the pinching of a PSD X_k is PSD, and its dual
+slack is PSD exactly when each sub-block is. Every copy of a repeated
+sub-block is kept, so the split program has the barrier of the whole
+block, and its sub-blocks start where the whole block would; the barrier
+degree is the rank of the cone, d for a d x d block however it is split.
+So a split solve follows the central path of the unsplit one. Every 1x1
+block and sub-block is a vector entry: X_k >= 0 is x >= 0 there. All of a
+problem block's 1x1 sub-blocks are one vector block, and all vector blocks
+together one pair of nonnegative vectors x, s, scaled, stepped and
+corrected elementwise with the arithmetic of a 1x1 block; the other
+sub-blocks are dense.
 
 Each block stores only the constraint rows that touch it, once, and the
-Schur matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block
-into those rows. The conjugations the inner products need are taken on the
-iterates and on each fresh W A W product, never on a stored copy of A.
-Each Newton system (one for the predictor, one for the
-corrector) is a single dense LU solve of M, with a least-squares fallback
-when M is exactly singular. Each dense matrix is eigendecomposed once per
-iteration for all the powers taken of it.
+Schur matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled, one problem
+block at a time, into those rows, as one real product V Vᵀ. The
+conjugations the inner products need are taken on the iterates and on
+fresh products, never on a stored copy of A. Each Newton system (one for
+the predictor, one for the corrector) is a single dense LU solve of M,
+with a least-squares fallback when M is exactly singular. Each dense
+matrix is eigendecomposed once per iteration for all the powers taken of
+it.
 
 Every produced iterate is re-symmetrized, so Hermiticity is maintained to
 roundoff. The solve is deterministic for identical input data.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -40,28 +49,28 @@ TOL_FEAS = 1e-8  # scaled primal and dual residual at which a solve is optimal
 MAX_ITER = 200
 
 
-def _is_diagonal(a: np.ndarray | None) -> bool:
-    return a is None or np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
-
-
 class _StandardForm:
     """Equality-form data, stored per block over the rows that touch it.
 
-    Dense block j keeps the indices ``rows[j]`` of the constraint rows with a
-    coefficient on it, and those coefficients flattened to complex ``A[j]``
-    of shape (len(rows[j]), d_j * d_j), with objective ``C[j]``. Vector
-    block k keeps its rows ``vrows[k]`` and the diagonals of their
-    coefficients as real ``vA[k]`` of shape (len(vrows[k]), d_k); its
+    Each problem block (slack blocks last) is split into its diagonal
+    sub-blocks (``SdpProblem.sub_blocks``); a block kept whole is one.
+    Dense block j is an s x s sub-block with s > 1: it keeps the indices
+    ``rows[j]`` of the constraint rows with a coefficient on its problem
+    block, and the sub-block of each, flattened to complex ``A[j]`` of shape
+    (len(rows[j]), s * s), with objective ``C[j]``. Vector block k holds
+    every 1x1 sub-block of one problem block: its rows ``vrows[k]`` and
+    their real coefficients ``vA[k]`` of shape (len(vrows[k]), count); its
     entries are ``slices[k]`` of the vector variables, whose objective is
-    ``c``. ``layout`` gives, for every block in the problem's order (slack
-    blocks last), whether it is a vector block and its index among those
-    of its kind.
+    ``c``. ``layout`` gives, for every dense and vector block in the
+    problem's order, whether it is a vector block and its index among those
+    of its kind; ``block_of`` its problem block, of dimension
+    ``block_dims``, frame ``frames`` and sub-block sizes ``subs``; and
+    ``offsets`` where its entries sit in the problem block's packed
+    coefficients.
 
     ``A`` and ``vA`` are the only copy of the coefficients the solver holds:
-    16 * d**2 bytes per row on a dense block and 8 * d on a vector block.
-    ``SdpProblem`` counts the first for every block with d > 1 and the
-    second for 1x1 blocks, so its count is exact unless a d > 1 block turns
-    out diagonal, and an upper bound then.
+    16 * s**2 bytes per row on a dense block and 8 per entry on a vector
+    block, as ``SdpProblem`` counts them.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -69,40 +78,55 @@ class _StandardForm:
             raise ValueError("problem must carry at least one constraint")
         dims = list(problem.block_dims)
         self.n_orig = len(dims)
+        subs = [problem.sub_blocks(k) for k in range(self.n_orig)]
         rows: list[list[int]] = [[] for _ in dims]
         coeffs: list[list[np.ndarray]] = [[] for _ in dims]
         for i, con in enumerate(problem.constraints):
             for k, a in con.coeffs.items():
                 rows[k].append(i)
-                coeffs[k].append(a)
+                coeffs[k].append(a.reshape(-1))  # packed, or the whole block's entries
             if con.sense != "==":
                 dims.append(1)
+                subs.append((1,))
                 rows.append([i])
-                coeffs.append([np.array([[1.0 if con.sense == "<=" else -1.0]])])
+                coeffs.append([np.array([1.0 if con.sense == "<=" else -1.0])])
         self.m = len(problem.constraints)
         self.b = np.array([c.rhs for c in problem.constraints], dtype=float)
+        self.block_dims, self.frames, self.subs = dims, problem.frames, subs
         self.dims, self.rows, self.A, self.C = [], [], [], []
         self.vdims, self.vrows, self.vA, self.slices, c = [], [], [], [], []
         self.layout: list[tuple[bool, int]] = []
-        for k, d in enumerate(dims):
+        self.block_of, self.offsets = [], []
+        for k, sizes in enumerate(subs):
             r = np.array(rows[k], dtype=np.intp)
             obj = problem.objective.get(k)
-            if _is_diagonal(obj) and all(_is_diagonal(a) for a in coeffs[k]):
+            obj = np.zeros(sum(s * s for s in sizes), dtype=complex) if obj is None \
+                else obj.reshape(-1)
+            offsets = np.cumsum([0, *(s * s for s in sizes)])[:-1]
+            for s, off in zip(sizes, offsets):
+                if s == 1:
+                    continue
+                self.layout.append((False, len(self.dims)))
+                self.block_of.append(k)
+                self.offsets.append(off)
+                self.dims.append(s)
+                self.rows.append(r)
+                # a block no row touches gets shape (0, s * s)
+                self.A.append(np.array([a[off:off + s * s] for a in coeffs[k]],
+                                       dtype=complex).reshape(len(r), s * s))
+                self.C.append(obj[off:off + s * s].reshape(s, s).astype(complex))
+            ones = offsets[np.array(sizes) == 1]
+            if ones.size:
                 start = self.slices[-1].stop if self.slices else 0
                 self.layout.append((True, len(self.vdims)))
-                self.vdims.append(d)
-                self.slices.append(slice(start, start + d))
+                self.block_of.append(k)
+                self.offsets.append(ones)
+                self.vdims.append(ones.size)
+                self.slices.append(slice(start, start + ones.size))
                 self.vrows.append(r)
-                self.vA.append(np.array([np.diagonal(a).real for a in coeffs[k]],
-                                        dtype=float).reshape(len(r), d))
-                c.append(np.zeros(d) if obj is None else np.diagonal(obj).real)
-                continue
-            self.layout.append((False, len(self.dims)))
-            self.dims.append(d)
-            self.rows.append(r)
-            # an empty block (no row touches it) gets shape (0, d * d)
-            self.A.append(np.array(coeffs[k], dtype=complex).reshape(len(r), d * d))
-            self.C.append(np.zeros((d, d), dtype=complex) if obj is None else obj.astype(complex))
+                self.vA.append(np.array([a[ones].real for a in coeffs[k]],
+                                        dtype=float).reshape(len(r), ones.size))
+                c.append(obj[ones].real)
         self.c = np.concatenate(c) if c else np.zeros(0)
         self.starts = np.array([sl.start for sl in self.slices], dtype=np.intp)
 
@@ -114,6 +138,28 @@ class _StandardForm:
                 yield self.vdims[j], self.vrows[j], self.vA[j], self.c[self.slices[j]]
             else:
                 yield self.dims[j], self.rows[j], self.A[j], self.C[j]
+
+    def block_norms(self, sq: list[float]) -> np.ndarray:
+        """Per problem block, the root of the sum of ``sq`` over its dense
+        and vector blocks: a Frobenius norm of the whole block from those of
+        its sub-blocks."""
+        out = np.zeros(len(self.block_dims))
+        np.add.at(out, self.block_of, sq)
+        return np.sqrt(out)
+
+    def problem_blocks(self, X: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+        """The problem's blocks, full size, from the dense blocks and the vector."""
+        packed = [np.zeros(sum(s * s for s in sizes), dtype=complex)
+                  for sizes in self.subs[:self.n_orig]]
+        for (vector, j), k, off in zip(self.layout, self.block_of, self.offsets):
+            if k >= self.n_orig:
+                continue
+            if vector:
+                packed[k][off] = x[self.slices[j]]
+            else:
+                packed[k][off:off + X[j].size] = X[j].reshape(-1)
+        return [v.reshape(d, d) if frame is None else frame.unpack(v)
+                for v, d, frame in zip(packed, self.block_dims, self.frames)]
 
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """The sum of ``v`` over each vector block's entries."""
@@ -199,20 +245,38 @@ def _nt_scaling_vec(x: np.ndarray, s: np.ndarray):
     return w, g, g_inv, _floor((g * s) * g)
 
 
-def _schur(sf: _StandardForm, W: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """M_ij = sum_k Re<A_ik, W_k A_jk W_k> = sum_k Re(A_k · conj(W_k A_k W_k)ᵀ)_ij;
-    block k adds into M[rows_k, rows_k]. A vector block's W_k is diag(w[slice_k])."""
+def _schur(sf: _StandardForm, G: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """M_ij = sum_k Re<A_ik, W_k A_jk W_k>, added into M[rows_k, rows_k].
+
+    With W_k = G_k², a term is Re<F_i, F_j> for the Hermitian F = G_k A_k G_k,
+    and for Hermitian matrices Re<F_i, F_j> = v(F_i)·v(F_j), where v(F) is the
+    diagonal of F and √2 times the real and imaginary parts above it. A
+    vector block's W_k is diag(w[slice_k]), and its v is a_k w. The rows of
+    v over every dense and vector block of one problem block, side by side,
+    make one real V, which adds V Vᵀ: d² real columns for a d x d block
+    where the complex product Re(A · conj(W A W)ᵀ) takes d² complex ones.
+    """
     M = np.zeros((sf.m, sf.m))
-    for vector, j in sf.layout:
-        if vector:
-            rows, a, wk = sf.vrows[j], sf.vA[j], w[sf.slices[j]]
-            M[np.ix_(rows, rows)] += a @ ((wk * a) * wk).T
-            continue
-        rows, a, wk, d = sf.rows[j], sf.A[j], W[j], sf.dims[j]
-        r = len(rows)
-        bk = (wk @ a.reshape(r, d, d) @ wk).reshape(r, d * d)
-        np.conjugate(bk, out=bk)  # in place: no second full-size temporary
-        M[np.ix_(rows, rows)] += (a @ bk.T).real
+    entries = zip(sf.block_of, sf.layout)
+    for _, group in itertools.groupby(entries, key=lambda e: e[0]):
+        parts = []
+        for _, (vector, j) in group:
+            # every dense and vector block of a problem block has its rows
+            if vector:
+                rows = sf.vrows[j]
+                parts.append(sf.vA[j] * w[sf.slices[j]])
+                continue
+            rows, a, gk, d = sf.rows[j], sf.A[j], G[j], sf.dims[j]
+            f = (gk @ a.reshape(len(rows), d, d) @ gk).reshape(len(rows), d * d)
+            i, k = np.triu_indices(d, 1)
+            upper = i * d + k
+            parts += [f.real[:, ::d + 1], np.sqrt(2.0) * f.real[:, upper],
+                      np.sqrt(2.0) * f.imag[:, upper]]
+        v = np.concatenate(parts, axis=1)
+        if rows.size and rows[-1] - rows[0] == rows.size - 1:  # consecutive rows
+            M[rows[0]:rows[-1] + 1, rows[0]:rows[-1] + 1] += v @ v.T
+        else:
+            M[np.ix_(rows, rows)] += v @ v.T
     return 0.5 * (M + M.T)
 
 
@@ -269,17 +333,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
     progress stops first, and an infeasibility status when the iterates
     produce a diverging certificate. A solve that stops without reaching
     the tolerances returns the last iterate that met the looser end-point
-    contract (``_meets_contract``) as "optimal". A vector block's primal
-    block is returned as its diagonal matrix.
+    contract (``_meets_contract``) as "optimal". Primal blocks are
+    returned full size: a framed block reassembled from its sub-blocks.
     """
     sf = _StandardForm(problem)
     m = sf.m
-    # the barrier normaliser: d**2 for a dense block, one per vector entry
-    n_total = sum(d * d for d in sf.dims) + sf.c.size
+    # the barrier degree: the rank of the cone, d for a d x d block however
+    # it is split, one per vector entry
+    n_total = sum(sf.dims) + sf.c.size
 
     # normalize the objective so the iterates (and hence the argmin) do not
     # depend on its scale; objective values are mapped back on return
-    obj_scale = max(float(np.linalg.norm(c)) for _, _, _, c in sf.blocks())
+    c_norms = sf.block_norms([float(np.linalg.norm(c)) ** 2 for _, _, _, c in sf.blocks()])
+    obj_scale = float(c_norms.max())
     if obj_scale > 0.0:
         sf.C = [c / obj_scale for c in sf.C]
         # numpy divides a complex array by a real number as a product with its
@@ -289,18 +355,27 @@ def solve(problem: SdpProblem) -> SdpSolution:
         obj_scale = 1.0
 
     b_scale = 1.0 + float(np.linalg.norm(sf.b))
-    c_scale = 1.0 + max(float(np.linalg.norm(c)) for _, _, _, c in sf.blocks())
+    c_norms = c_norms / obj_scale
+    c_scale = 1.0 + float(c_norms.max())
     a_row_norms = np.zeros(m)
+    a_sq = []
     for _, rows, a, _ in sf.blocks():
         sq = np.conjugate(a)  # a new array also when a is real
         sq *= a  # |a|² in one temporary, by numpy's complex product
-        a_row_norms[rows] += sq.real.sum(axis=1)
+        sq = sq.real.sum(axis=1)
+        a_row_norms[rows] += sq
+        a_sq.append(float(sq.sum()))
     a_row_norms = np.sqrt(a_row_norms)
+    a_norms = sf.block_norms(a_sq)
+    # every sub-block of a problem block starts where the whole block would:
+    # from its dimension and its norms
     X, S = [], []
     x, s = np.empty(sf.c.size), np.empty(sf.c.size)
-    for (vector, j), (d, _, a, c) in zip(sf.layout, sf.blocks()):
-        xi = max(10.0, np.sqrt(d), d * float(np.max((1.0 + np.abs(sf.b)) / (1.0 + a_row_norms))))
-        eta = max(10.0, np.sqrt(d), 1.0 + max(float(np.linalg.norm(c)), float(np.linalg.norm(a))))
+    for (vector, j), k, (d, *_) in zip(sf.layout, sf.block_of, sf.blocks()):
+        full = sf.block_dims[k]
+        xi = max(10.0, np.sqrt(full),
+                 full * float(np.max((1.0 + np.abs(sf.b)) / (1.0 + a_row_norms))))
+        eta = max(10.0, np.sqrt(full), 1.0 + max(float(c_norms[k]), float(a_norms[k])))
         if vector:
             x[sf.slices[j]], s[sf.slices[j]] = xi, eta
         else:
@@ -332,7 +407,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         scalings = [_nt_scaling(xk, sk) for xk, sk in zip(X, S)]
         W = [sc[0] for sc in scalings]
         w, g, g_inv, v = _nt_scaling_vec(x, s)
-        M = _schur(sf, W, w)
+        M = _schur(sf, [sc[1] for sc in scalings], w)
         a_of_h = sf.apply([wk @ r @ wk for wk, r in zip(W, Rd)], (w * rd) * w)
 
         def newton(Rc: list[np.ndarray], rc: np.ndarray):
@@ -396,8 +471,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             pobj, dobj, _, _, _, residuals = _residuals(sf, X, x, S, s, y, b_scale, c_scale)
             status = "optimal"
     return SdpSolution(
-        primal_blocks=[np.diag(x[sf.slices[j]]).astype(complex) if vector else X[j]
-                       for vector, j in sf.layout[:sf.n_orig]],
+        primal_blocks=sf.problem_blocks(X, x),
         dual_multipliers=obj_scale * y,
         primal_objective=obj_scale * pobj,
         dual_objective=obj_scale * dobj,

@@ -1,3 +1,7 @@
+# qconv first: it sets its one-thread OpenBLAS default before numpy loads,
+# so the tests run the numerics as every qconv process does
+import qconv  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

@@ -161,8 +161,8 @@ class TestProgramLimits:
             _PROGRAMS[name](DEPOL)
 
     def test_size_estimate_bounds_the_classical_storage(self, monkeypatch):
-        # every block of the classical program is diagonal, so the solver keeps
-        # 8·d bytes of each row's coefficient where d > 1 blocks are counted as dense
+        # every block of the classical program is declared with the frame of 1x1
+        # blocks, so only diagonals are kept, and counted, on either side
         probs = []
         solve = bounds._solve
         monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
@@ -170,7 +170,21 @@ class TestProgramLimits:
         classical_converse(w, 0.1)
         classical_converse(w, 0.1, p=np.array([0.2, 0.3, 0.5]))
         for prob in probs:
-            assert prob.coefficient_bytes >= _held_bytes(prob)
+            assert prob.coefficient_bytes == _held_bytes(prob)
+
+    @pytest.mark.parametrize("cls,count", [
+        # per R row: 32·(10² + 6²) bytes on each AB block, 32·3² + 24 on the
+        # adversary's block (sub-blocks 3 and 1) and 24 on the acceptance block;
+        # the lambda row adds 8 for its slack, and each of the 10 rho_ref rows
+        # touches the caps, the rho_ref block (3 and 1) and the trace block
+        (TestClass.ALL, 136 * (2 * 4352 + 312 + 24) + (312 + 8) + 10 * (4352 + 312 + 24)),
+        (TestClass.PPT, 136 * (4 * 4352 + 312 + 24) + (312 + 8) + 10 * (2 * 4352 + 312 + 24))])
+    def test_split_size_estimate_is_the_solver_storage(self, monkeypatch, cls, count):
+        probs = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
+        ea_bound_opt_rho(DEPOL, 0.05, cls, n=2)
+        assert probs[0].coefficient_bytes == _held_bytes(probs[0]) == count
 
     def test_three_uses_are_admitted(self, monkeypatch):
         # about 1.0 GiB (ALL) and 2.0 GiB (PPT): every row is counted and admitted,
@@ -201,9 +215,30 @@ class TestProgramLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_four_optimised_uses_are_admitted(self, monkeypatch):
+        # 3,876 invariant R rows on two 256 x 256 blocks, each split into
+        # sub-blocks of 45, 45, 45, 35, 20, 20, 15, 15, 15 and 1: 32·8,775 + 24
+        # bytes a row per block; the adversary's 16 x 16 block splits into 5, 3,
+        # 3, 3, 1 and 1 (32·52 + 2·24), and the 35 rho_ref rows touch the cap,
+        # the rho_ref block (split as the adversary's) and the trace block.
+        # About 2.0 GiB: admitted, with no operator row built
+        class Admitted(Exception):
+            pass
+
+        def stop(prob):
+            raise Admitted(prob.coefficient_bytes)
+
+        monkeypatch.setattr(sdp.problem.Basis, "__iter__", lambda basis: iter(()))
+        monkeypatch.setattr(bounds, "_solve", stop)
+        ab, b = 32 * 8775 + 24, 32 * 52 + 2 * 24
+        with pytest.raises(Admitted) as admitted:
+            ea_bound_opt_rho(DEPOL, 0.05, TestClass.ALL, n=4)
+        assert admitted.value.args[0] == \
+            3876 * (2 * ab + b + 24) + (b + 8) + 35 * (ab + b + 24)
+
+    # the PPT program has twice the AB blocks, about 4.1 GiB
+    @pytest.mark.parametrize("cls", [TestClass.PPT])
     def test_four_optimised_uses_are_rejected_before_the_channel(self, monkeypatch, cls):
-        # 3,876 invariant R rows on 256 x 256 blocks: about 15 GiB (ALL)
         def unbuilt(*args):
             raise AssertionError("tensor_power ran for a rejected program")
 
@@ -364,9 +399,10 @@ class TestClassicalConverse:
         assert np.isfinite(classical_converse(w_neg, 0.1).bits)
 
     def test_over_budget_matrix_is_rejected(self):
-        # 256 inputs, 2 outputs: 512 diagonal R rows on two 512 x 512 blocks, about
-        # 8 GiB, rejected before the 4 MiB Choi matrix or any coefficient is built
-        w, p = np.full((2, 256), 0.5), np.full(256, 1 / 256)
+        # 8,192 inputs, 2 outputs: 16,384 diagonal R rows, each 24 bytes per entry of
+        # two 16,384-entry diagonal blocks, about 12 GiB, rejected before the 4 GiB
+        # Choi matrix or any coefficient is built
+        w, p = np.full((2, 8192), 0.5), np.full(8192, 1 / 8192)
         tracemalloc.start()
         try:
             for dist in (p, None):
@@ -454,11 +490,12 @@ class TestInvariantPrograms:
         pytest.param(2, 3, 1, 0.1, TestClass.PPT, marks=pytest.mark.slow),
         pytest.param(3, 2, 1, 0.1, TestClass.ALL, marks=pytest.mark.slow),
         pytest.param(3, 2, 1, 0.1, TestClass.PPT, marks=pytest.mark.slow),
-        # the reduced programs stop at the iteration limit in 3-7 s; the
-        # unreduced one solves the first and stops at the limit on the second
-        pytest.param(2, 3, 23, 0.1, TestClass.ALL,
-                     marks=pytest.mark.xfail(strict=True, raises=bounds.SolverFailure)),
-        pytest.param(2, 3, 3, 0.01, TestClass.ALL,
+        # programs that stopped at the iteration limit while the barrier degree
+        # was the sum of d² over the blocks
+        (2, 3, 23, 0.1, TestClass.ALL),
+        (2, 3, 3, 0.01, TestClass.ALL),
+        # the reduced program still stops at the iteration limit
+        pytest.param(2, 2, 1, 0.01, TestClass.ALL,
                      marks=pytest.mark.xfail(strict=True, raises=bounds.SolverFailure))])
     def test_reduced_equals_unreduced(self, d_in, d_out, seed, eps, cls):
         chan = rand_channel(np.random.default_rng(seed), d_in, d_out)
@@ -466,6 +503,22 @@ class TestInvariantPrograms:
         full = ea_bound_opt_rho(tensor_power(chan, 2), eps, cls)
         assert reduced.bits == pytest.approx(full.bits, abs=1e-6)
         assert reduced.n_uses == 2
+
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_split_equals_unsplit(self, cls):
+        # the optimised two-use programs of the sdp-depol benchmark workload at
+        # seed 1, with and without the frames: the same steps
+        chan = tensor_power(DEPOL, 2)
+        r_basis, rho_basis = sdp.invariant_basis((2, 2), 2), sdp.invariant_basis((2,), 2)
+        whole = [sdp.Basis(len(b), lambda b=b: iter(b)) for b in (r_basis, rho_basis)]
+        for eps in (0.01428, 0.05638, 0.1474):
+            split = bounds._ea_bound((4, 4), lambda: chan.choi, eps, cls, None, r_basis,
+                                     rho_basis, sdp.invariant_frame((2,), 2))
+            unsplit = bounds._ea_bound((4, 4), lambda: chan.choi, eps, cls, None, *whole)
+            assert split.diagnostics["iterations"] == unsplit.diagnostics["iterations"]
+            assert split.bits == pytest.approx(unsplit.bits, abs=1e-8)
+            assert split.bits == pytest.approx(
+                ea_bound_opt_rho(DEPOL, eps, cls, n=2).bits, abs=1e-12)
 
     @pytest.mark.parametrize("probs,n", [((0.8, 0.1, 0.0, 0.1), 2), ((0.9, 0.0, 0.0, 0.1), 2),
                                          ((0.9, 0.0, 0.0, 0.1), 3)])

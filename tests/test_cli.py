@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -306,7 +310,8 @@ class TestExitCodes:
         chan = _write_depol_choi(tmp_path / "depol.json")
         assert cli.main(["bound", "--channel", str(chan), *extra]) == 2
 
-    @pytest.mark.parametrize("cls", ["all", "ppt"])
+    # the split ALL program, about 2.0 GiB, is admitted
+    @pytest.mark.parametrize("cls", ["ppt"])
     def test_four_optimised_uses_are_2_before_the_channel(self, tmp_path, monkeypatch, cls):
         def unbuilt(*args):
             raise AssertionError("tensor_power ran for a rejected program")
@@ -408,3 +413,20 @@ class TestExitCodes:
 
         monkeypatch.setattr(bounds, "ea_bound", boom)
         assert cli.main(["bound", "--channel", str(chan), "--eps", "0.05"]) == 3
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestThreadDefault:
+    @pytest.mark.parametrize("caller,want", [({}, "1"),
+                                             ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+                                             ({"OMP_NUM_THREADS": "2"}, "None")])
+    def test_import_sets_one_openblas_thread_unless_the_caller_chose(self, caller, want):
+        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, qconv; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+            env={**env, **caller}, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == want

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from conftest import operator_equality, rand_classical_channel, rand_unitary
 from qconv import bounds, quantum
-from qconv.sdp import (SdpProblem, diagonal_basis, hermitian_basis, invariant_basis, solve,
-                       verify)
+from qconv.sdp import (SdpProblem, diagonal_basis, diagonal_frame, hermitian_basis,
+                       invariant_basis, invariant_frame, solve, verify)
 from qconv.sdp.solver import _schur, _StandardForm
 
 
@@ -257,6 +257,39 @@ class TestBases:
         assert np.array_equal(sum(basis), np.eye(5))
         assert np.abs(_gram(basis) - np.eye(5)).max() == 0.0
 
+    def test_frame_sizes(self):
+        # the Schur-Weyl blocks of C⁴ at n = 2 (symmetric and antisymmetric) and
+        # at n = 3 (symmetric, two copies of the mixed irrep, antisymmetric)
+        assert invariant_frame((2, 2), 2).sizes == (10, 6)
+        assert invariant_frame((2, 2), 3).sizes == (20, 20, 20, 4)
+        assert invariant_frame((2, 2), 1) is None
+
+    @pytest.mark.parametrize("dims,n", [((2,), 3), ((2, 2), 2), ((2, 3), 2), ((3, 2), 2),
+                                        ((2, 2), 3)])
+    def test_frame_block_diagonalises_the_basis(self, dims, n):
+        frame = invariant_frame(dims, n)
+        u = frame.unitary
+        assert np.abs(u.T @ u - np.eye(len(u))).max() < 1e-12
+        mask = np.ones(u.shape, dtype=bool)
+        start = 0
+        for size in frame.sizes:
+            mask[start:start + size, start:start + size] = False
+            start += size
+        for h in invariant_basis(dims, n):
+            assert np.abs((u.T @ h @ u)[mask]).max(initial=0.0) < 1e-12
+            assert_allclose(frame.unpack(frame.pack(h)), h, rtol=0, atol=1e-12)
+
+    def test_frame_is_deterministic(self):
+        assert invariant_frame((2, 2), 3).unitary.tobytes() == \
+            invariant_frame((2, 2), 3).unitary.tobytes()
+
+    def test_frame_rejects_a_coefficient_off_its_blocks(self, rng):
+        frame = invariant_frame((2, 2), 2)
+        with pytest.raises(ValueError, match="block-diagonal"):
+            frame.pack(_random_hermitian(rng, 16))
+        with pytest.raises(ValueError, match="block-diagonal"):
+            SdpProblem([16], [frame]).set_objective(0, _random_hermitian(rng, 16))
+
     def test_length_is_known_before_any_element(self):
         # four uses of the R space of a qubit channel: 3,876 elements of 256 x 256
         tracemalloc.start()
@@ -318,12 +351,22 @@ class TestVerify:
         assert report.max_inequality_violation == pytest.approx(0.1, abs=1e-9)
         assert any("constraint 0" in f for f in report.findings)
 
+    def test_framed_program_passes(self):
+        # packed coefficients are checked against the reassembled primal blocks
+        prob = _depol_ppt_program()
+        sol = solve(prob)
+        assert [x.shape for x in sol.primal_blocks] == [(d, d) for d in prob.block_dims]
+        report = verify(prob, sol)
+        assert report.ok, report.findings
+        assert report.max_equality_violation <= 1e-9
+
 
 def _depol_ppt_program():
     """The n = 2 PPT optimised-input program of the qubit depolarising channel."""
     chan = quantum.tensor_power(quantum.depolarising_channel(2, 0.15), 2)
     return bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, bounds.TestClass.PPT, None,
-                              invariant_basis((2, 2), 2), invariant_basis((2,), 2))
+                              invariant_basis((2, 2), 2), invariant_basis((2,), 2),
+                              invariant_frame((2,), 2))
 
 
 def _classical_program(p=None):
@@ -332,22 +375,31 @@ def _classical_program(p=None):
     w, _ = rand_classical_channel(np.random.default_rng(33), 3, 3)
     rho_ref = None if p is None else (lambda: np.diag(p).astype(complex))
     return bounds._ea_problem((3, 3), lambda: bounds._embedding_choi(w), 0.1,
-                              bounds.TestClass.ALL, rho_ref, diagonal_basis(9), diagonal_basis(3))
+                              bounds.TestClass.ALL, rho_ref, diagonal_basis(9), diagonal_basis(3),
+                              diagonal_frame(3))
 
 
 def _dense_constraints(prob, sf):
-    """Per block, the (m, d, d) tensor of every row's coefficient, zero where
-    the row does not touch the block; inequality rows get their 1x1 slack
-    blocks after the problem's own, as the solver orders them."""
+    """Per dense and vector block of the solver, in its order, the (m, d, d)
+    tensor of every row's coefficient, zero where the row does not touch the
+    block, cut from the problem's packed coefficients at the block's offsets;
+    inequality rows get their 1x1 slack blocks after the problem's own, as
+    the solver orders them."""
     m = len(prob.constraints)
-    dense = [np.zeros((m, d, d), dtype=complex) for d, *_ in sf.blocks()]
-    slack = len(prob.block_dims)
+    packed = [np.zeros((m, sum(s * s for s in prob.sub_blocks(k))), dtype=complex)
+              for k in range(len(prob.block_dims))]
     for i, con in enumerate(prob.constraints):
         for k, a in con.coeffs.items():
-            dense[k][i] = a
+            packed[k][i] = a.reshape(-1)
         if con.sense != "==":
-            dense[slack][i, 0, 0] = 1.0 if con.sense == "<=" else -1.0
-            slack += 1
+            packed.append(np.zeros((m, 1)))
+            packed[-1][i] = 1.0 if con.sense == "<=" else -1.0
+    dense = []
+    for (vector, _), k, off, (d, *_) in zip(sf.layout, sf.block_of, sf.offsets, sf.blocks()):
+        if vector:
+            dense.append(np.array([np.diag(row[off]) for row in packed[k]]))
+        else:
+            dense.append(packed[k][:, off:off + d * d].reshape(m, d, d))
     return dense
 
 
@@ -368,17 +420,20 @@ def _random_hermitian(rng, d, definite=False):
     return g @ g.conj().T + 0.5 * np.eye(d) if definite else (g + g.conj().T) / 2
 
 
-# the n = 2 PPT program, whose three 1x1 blocks are vector blocks, and a
-# program that is vector blocks only
+# the n = 2 PPT program, whose blocks split into dense and 1x1 sub-blocks,
+# and a program that is vector blocks only
 _KERNEL_PROGRAMS = (_depol_ppt_program, _classical_program)
 
 
 class TestStandardFormKernels:
     def test_vector_blocks(self):
-        # the three 1x1 blocks of the PPT program (acceptance, trace and the
-        # lambda row's slack) are vector blocks; every classical block is one
+        # the PPT program's 16 x 16 blocks split into 10 and 6, its 4 x 4 blocks
+        # into 3 and 1; the 1x1 sub-blocks of the adversary's and the rho_ref
+        # block, and the acceptance, trace and lambda-slack blocks, are vector
+        # blocks. Every classical block is one
         sf = _StandardForm(_depol_ppt_program())
-        assert sf.dims == [16, 16, 4, 16, 16, 4] and sf.vdims == [1, 1, 1]
+        assert sf.dims == [10, 6, 10, 6, 3, 10, 6, 10, 6, 3] and sf.vdims == [1, 1, 1, 1, 1]
+        assert sf.block_of == [0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8]
         sf = _StandardForm(_classical_program())
         assert sf.dims == [] and sf.vdims == [9, 9, 3, 1, 3, 1, 1]
         assert [a.shape for a in sf.vA] == [(9, 9), (12, 9), (10, 3), (9, 1), (3, 3), (3, 1),
@@ -389,15 +444,17 @@ class TestStandardFormKernels:
             prob = program()
             sf = _StandardForm(prob)
             dense = _dense_constraints(prob, sf)
-            # a vector block's scaling point is diagonal
-            W = [np.diag(rng.uniform(0.5, 2.0, size=d)).astype(complex) if vector
+            # a vector block's scaling point is diagonal; a dense block's kernel
+            # takes the square root G of its scaling point W = G²
+            G = [np.diag(rng.uniform(0.5, 2.0, size=d)).astype(complex) if vector
                  else _random_hermitian(rng, d, definite=True)
                  for (vector, _), (d, *_) in zip(sf.layout, sf.blocks())]
+            W = [g @ g for g in G]
             want = np.zeros((sf.m, sf.m))
             for a, w in zip(dense, W):
                 wa = w @ a @ w
                 want += np.real(a.conj().reshape(sf.m, -1) @ wa.reshape(sf.m, -1).T)
-            got = _schur(sf, *_split(sf, W))
+            got = _schur(sf, _split(sf, G)[0], _split(sf, W)[1])
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_apply_and_adjoint(self, rng):
@@ -430,9 +487,12 @@ class TestVectorBlocks:
         u = rand_unitary(np.random.default_rng(5), 9)
 
         def rotate(k, a):
+            a = prob.frames[k].unpack(a) if prob.frames[k] else a
             return u @ a @ u.conj().T if k == bounds._CAP else a
 
-        rotated = SdpProblem(list(prob.block_dims))
+        # the rotated block is declared without the frame of 1x1 blocks
+        rotated = SdpProblem(list(prob.block_dims),
+                             [None if k == bounds._CAP else f for k, f in enumerate(prob.frames)])
         for k, c in prob.objective.items():
             rotated.set_objective(k, rotate(k, c))
         for con in prob.constraints:
@@ -446,9 +506,14 @@ class TestVectorBlocks:
         assert sol_rot.dual_objective == pytest.approx(sol.dual_objective, rel=1e-7)
 
     def test_one_off_diagonal_coefficient_keeps_a_block_dense(self):
+        # a block is a vector block when it is declared with the frame of 1x1
+        # blocks, which rejects an off-diagonal coefficient
         off = np.zeros((3, 3))
         off[0, 2] = off[2, 0] = 0.5
-        prob = SdpProblem([3, 3])
+        framed = SdpProblem([3, 3], [diagonal_frame(3), None])
+        with pytest.raises(ValueError, match="block-diagonal"):
+            framed.add_constraint({0: np.diag([0.0, 1.0, 0.0]) + off}, 0.2)
+        prob = SdpProblem([3, 3], [None, diagonal_frame(3)])
         prob.set_objective(0, np.diag([1.0, 2.0, 3.0]))
         prob.set_objective(1, np.eye(3))
         prob.add_constraint({0: np.eye(3), 1: np.diag([1.0, 0.0, 0.0])}, 1.0)

@@ -1,14 +1,19 @@
-"""Stall census: solve every fixed-input program of the sdp-small workload.
+"""Stall census: solve a seeded family of converse programs.
 
-For each seed, draws the workload's channels and eps values with
-``perfbench/workloads.build("sdp-small", seed)`` and solves
+By default, for each seed, draws the sdp-small workload's channels and eps
+values with ``perfbench/workloads.build("sdp-small", seed)`` and solves
 ``ea_bound(QuantumChannel(kraus, atol=1e-8), maximally_mixed, eps, cls)``
-for both test classes: 48 programs a seed. Prints the number of programs,
-every program that did not end optimal, the total iteration count, and a
-SHA-256 over every (repr(beta), iterations) pair in solve order, which
-changes with any bit of any beta. Exits 1 if a program did not end optimal.
+for both test classes: 48 programs a seed. With ``--optimised``, solves
+the two-use optimised-input program ``ea_bound_opt_rho(channel, eps, cls,
+n=2)`` for the test suite's ``rand_channel(default_rng(seed), a, b)`` of
+each shape a -> b in 2 -> 2, 2 -> 3 and 3 -> 2, at eps 0.01, 0.1 and 0.3,
+for both classes: 18 programs a seed. Prints the number of programs, every
+program that did not end optimal, the total iteration count, and a SHA-256
+over every (repr(beta), iterations) pair in solve order, which changes with
+any bit of any beta. Exits 1 if a program did not end optimal.
 
     PYTHONPATH=src python tools/census.py --seeds 100..139
+    PYTHONPATH=src python tools/census.py --optimised --seeds 1..4
 """
 
 from __future__ import annotations
@@ -18,11 +23,18 @@ import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+# qconv before numpy, so that its one-thread OpenBLAS default holds
+from qconv import bounds, quantum  # noqa: E402  isort: skip
+
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+from conftest import rand_channel  # noqa: E402
 
-from qconv import bounds, quantum  # noqa: E402
+SHAPES = ((2, 2), (2, 3), (3, 2))
+OPTIMISED_EPS = (0.01, 0.1, 0.3)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -33,8 +45,17 @@ def parse_seeds(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
+def _solved(seed, channel, eps, cls, bound):
+    """(seed, channel, eps, class, beta or None, iterations, status) of one program."""
+    try:
+        res = bound()
+    except bounds.SolverFailure as exc:
+        return seed, channel, eps, cls.value, None, exc.solution.iterations, exc.solution.status
+    return seed, channel, eps, cls.value, res.beta, res.diagnostics["iterations"], "optimal"
+
+
 def census(seeds: list[int]):
-    """Yield (seed, channel index, eps, class, beta or None, iterations, status)."""
+    """The fixed-input programs of the sdp-small workload, as ``_solved`` rows."""
     for seed in seeds:
         params = workloads.build("sdp-small", seed).params
         for idx, kraus in enumerate(params["kraus"]):
@@ -42,24 +63,31 @@ def census(seeds: list[int]):
             rho = quantum.maximally_mixed(chan.dim_in)
             for eps in params["eps"]:
                 for cls in bounds.TestClass:
-                    try:
-                        res = bounds.ea_bound(chan, rho, eps, cls)
-                    except bounds.SolverFailure as exc:
-                        yield seed, idx, eps, cls.value, None, exc.solution.iterations, \
-                            exc.solution.status
-                        continue
-                    yield seed, idx, eps, cls.value, res.beta, res.diagnostics["iterations"], \
-                        "optimal"
+                    yield _solved(seed, idx, eps, cls, lambda: bounds.ea_bound(chan, rho, eps, cls))
+
+
+def optimised_census(seeds: list[int]):
+    """The two-use optimised-input programs, as ``_solved`` rows."""
+    for seed in seeds:
+        for a, b in SHAPES:
+            chan = rand_channel(np.random.default_rng(seed), a, b)
+            for eps in OPTIMISED_EPS:
+                for cls in bounds.TestClass:
+                    yield _solved(seed, f"{a}->{b}", eps, cls,
+                                  lambda: bounds.ea_bound_opt_rho(chan, eps, cls, n=2))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", required=True, help="a..b or a comma-separated list")
+    parser.add_argument("--optimised", action="store_true",
+                        help="the two-use optimised-input programs instead")
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     programs = iterations = 0
     failures = []
-    for seed, idx, eps, cls, beta, its, status in census(parse_seeds(args.seeds)):
+    rows = (optimised_census if args.optimised else census)(parse_seeds(args.seeds))
+    for seed, idx, eps, cls, beta, its, status in rows:
         programs += 1
         iterations += its
         digest.update(f"{beta!r} {its}\n".encode())
