@@ -98,16 +98,12 @@ class Frame:
         if u is None:
             packed = np.diagonal(a).copy()
         else:
+            # each sub-block sums the nonzero entries of a times the outer
+            # products of rows of U: cheap for the orbit sums of a program
             nz = np.flatnonzero(a)
-            if nz.size * sum(s * s for s in self.sizes) < self.dim ** 3:
-                # a sparse a: each sub-block sums its nonzero entries times
-                # the outer products of rows of U
-                p, q = np.divmod(nz, self.dim)
-                left, right = u[p] * a.reshape(-1)[nz][:, None], u[q]
-                pieces = [left[:, c].T @ right[:, c] for c in self._groups()]
-            else:
-                t = u.T @ a @ u
-                pieces = [t[c, c] for c in self._groups()]
+            p, q = np.divmod(nz, self.dim)
+            left, right = u[p] * a.reshape(-1)[nz][:, None], u[q]
+            pieces = [left[:, c].T @ right[:, c] for c in self._groups()]
             packed = np.concatenate([(x + x.conj().T).reshape(-1) / 2 for x in pieces])
         total = float(np.vdot(a, a).real)
         if total - float(np.vdot(packed, packed).real) > FRAME_RTOL**2 * total:

@@ -21,22 +21,19 @@ corrected elementwise with the arithmetic of a 1x1 block; the other
 sub-blocks are dense.
 
 Each block stores only the constraint rows that touch it, once, and the
-Schur matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled, one problem
-block at a time, into those rows, as one real product V Vᵀ. The
-conjugations the inner products need are taken on the iterates and on
-fresh products, never on a stored copy of A. Each Newton system (one for
-the predictor, one for the corrector) is a single dense LU solve of M,
-with a least-squares fallback when M is exactly singular. Each dense
-matrix is eigendecomposed once per iteration for all the powers taken of
-it.
+Schur matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block
+into those rows. The conjugations the inner products need are taken on the
+iterates and on each fresh W A W product, never on a stored copy of A.
+Each Newton system (one for the predictor, one for the corrector) is a
+single dense LU solve of M, with a least-squares fallback when M is
+exactly singular. Each dense matrix is eigendecomposed once per iteration
+for all the powers taken of it.
 
 Every produced iterate is re-symmetrized, so Hermiticity is maintained to
 roundoff. The solve is deterministic for identical input data.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -245,38 +242,20 @@ def _nt_scaling_vec(x: np.ndarray, s: np.ndarray):
     return w, g, g_inv, _floor((g * s) * g)
 
 
-def _schur(sf: _StandardForm, G: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """M_ij = sum_k Re<A_ik, W_k A_jk W_k>, added into M[rows_k, rows_k].
-
-    With W_k = G_k², a term is Re<F_i, F_j> for the Hermitian F = G_k A_k G_k,
-    and for Hermitian matrices Re<F_i, F_j> = v(F_i)·v(F_j), where v(F) is the
-    diagonal of F and √2 times the real and imaginary parts above it. A
-    vector block's W_k is diag(w[slice_k]), and its v is a_k w. The rows of
-    v over every dense and vector block of one problem block, side by side,
-    make one real V, which adds V Vᵀ: d² real columns for a d x d block
-    where the complex product Re(A · conj(W A W)ᵀ) takes d² complex ones.
-    """
+def _schur(sf: _StandardForm, W: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """M_ij = sum_k Re<A_ik, W_k A_jk W_k> = sum_k Re(A_k · conj(W_k A_k W_k)ᵀ)_ij;
+    block k adds into M[rows_k, rows_k]. A vector block's W_k is diag(w[slice_k])."""
     M = np.zeros((sf.m, sf.m))
-    entries = zip(sf.block_of, sf.layout)
-    for _, group in itertools.groupby(entries, key=lambda e: e[0]):
-        parts = []
-        for _, (vector, j) in group:
-            # every dense and vector block of a problem block has its rows
-            if vector:
-                rows = sf.vrows[j]
-                parts.append(sf.vA[j] * w[sf.slices[j]])
-                continue
-            rows, a, gk, d = sf.rows[j], sf.A[j], G[j], sf.dims[j]
-            f = (gk @ a.reshape(len(rows), d, d) @ gk).reshape(len(rows), d * d)
-            i, k = np.triu_indices(d, 1)
-            upper = i * d + k
-            parts += [f.real[:, ::d + 1], np.sqrt(2.0) * f.real[:, upper],
-                      np.sqrt(2.0) * f.imag[:, upper]]
-        v = np.concatenate(parts, axis=1)
-        if rows.size and rows[-1] - rows[0] == rows.size - 1:  # consecutive rows
-            M[rows[0]:rows[-1] + 1, rows[0]:rows[-1] + 1] += v @ v.T
-        else:
-            M[np.ix_(rows, rows)] += v @ v.T
+    for vector, j in sf.layout:
+        if vector:
+            rows, a, wk = sf.vrows[j], sf.vA[j], w[sf.slices[j]]
+            M[np.ix_(rows, rows)] += a @ ((wk * a) * wk).T
+            continue
+        rows, a, wk, d = sf.rows[j], sf.A[j], W[j], sf.dims[j]
+        r = len(rows)
+        bk = (wk @ a.reshape(r, d, d) @ wk).reshape(r, d * d)
+        np.conjugate(bk, out=bk)  # in place: no second full-size temporary
+        M[np.ix_(rows, rows)] += (a @ bk.T).real
     return 0.5 * (M + M.T)
 
 
@@ -407,7 +386,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         scalings = [_nt_scaling(xk, sk) for xk, sk in zip(X, S)]
         W = [sc[0] for sc in scalings]
         w, g, g_inv, v = _nt_scaling_vec(x, s)
-        M = _schur(sf, [sc[1] for sc in scalings], w)
+        M = _schur(sf, W, w)
         a_of_h = sf.apply([wk @ r @ wk for wk, r in zip(W, Rd)], (w * rd) * w)
 
         def newton(Rc: list[np.ndarray], rc: np.ndarray):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,6 +523,18 @@ class TestInvariantPrograms:
             assert split.bits == pytest.approx(unsplit.bits, abs=1e-8)
             assert split.bits == pytest.approx(
                 ea_bound_opt_rho(DEPOL, eps, cls, n=2).bits, abs=1e-12)
+
+    def test_split_equals_unsplit_on_two_blas_threads(self):
+        # numpy imported before qconv, or a caller's override, runs OpenBLAS on
+        # two threads, whose sums round differently: the same comparison there
+        src = str(Path(bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestInvariantPrograms::test_split_equals_unsplit"],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout[-2000:]
 
     @pytest.mark.parametrize("probs,n", [((0.8, 0.1, 0.0, 0.1), 2), ((0.9, 0.0, 0.0, 0.1), 2),
                                          ((0.9, 0.0, 0.0, 0.1), 3)])
