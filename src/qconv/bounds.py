@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -154,6 +156,10 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     ``rho_basis.frame`` and the adversary's block with ``g_frame``: the
     symmetry that restricts R and rho_ref makes every coefficient on them
     block-diagonal there.
+
+    eps enters only as the objective -(1 - eps) of the ``_ACC`` block, so
+    one program serves every eps: ``_ea_bound`` builds it once per (n,
+    class) and resets that entry with ``set_objective`` before each solve.
     """
     da, db = dims
     dab = da * db
@@ -191,10 +197,18 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     return prob
 
 
-def _ea_bound(dims: tuple[int, int], choi, eps: float, cls: TestClass,
+def _ea_bound(dims: tuple[int, int], choi, eps_list: list[float], cls: TestClass,
               rho_ref, r_basis: sdp.Basis, rho_basis: sdp.Basis | None = None,
-              g_frame: sdp.Frame | None = None, n: int = 1) -> BoundResult:
-    """Solve ``_ea_problem`` and read the bound off its solution.
+              g_frame: sdp.Frame | None = None, n: int = 1) -> list[BoundResult]:
+    """Solve ``_ea_problem`` at each eps of ``eps_list`` and read one bound
+    off each solution, in order.
+
+    Every eps is checked (``_clamp_eps``) before anything is built. The
+    program is then built once and solved once per eps: eps enters only as
+    the ``_ACC`` objective, which is the one datum set anew before each
+    solve, so each solve sees the data a program built at its eps would
+    hold. ``diagnostics["wall_s"]`` is the wall time from the call, or from
+    the previous result, to this one: the first eps carries the build.
 
     beta = lambda = -(dual objective); R and rho_ref are rebuilt from the
     dual variables in their bases, and the adversary's state is the
@@ -202,29 +216,51 @@ def _ea_bound(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     is the converse dual's, kept as a diagnostic.
     """
     _require_class(cls)
-    eps_c = _clamp_eps(eps)
-    solution = _solve(_ea_problem(dims, choi, eps_c, cls, rho_ref, r_basis, rho_basis, g_frame))
-    y = solution.dual_multipliers
-    g = linalg.hermitian_part(solution.primal_blocks[_G])
-    rho_mat = None
-    if rho_ref is None:
-        rho_opt = rho_basis.operator(y[len(r_basis) + 1:])
-        rho_mat = (rho_opt / np.trace(rho_opt).real).T
-    diagnostics = dict(solution.residuals, iterations=solution.iterations,
-                       dual_objective=-solution.primal_objective)
-    if eps_c != eps:
-        diagnostics["eps_solved"] = eps_c
-    return _result(-solution.dual_objective, eps, cls, n,
-                   optimal_r=r_basis.operator(y[:len(r_basis)]),
-                   optimal_sigma=g / np.trace(g).real,
-                   optimal_rho=rho_mat, diagnostics=diagnostics)
+    solved = [_clamp_eps(eps) for eps in eps_list]
+    if not solved:
+        raise ValueError("need at least one eps")
+    start = time.perf_counter()
+    prob = _ea_problem(dims, choi, solved[0], cls, rho_ref, r_basis, rho_basis, g_frame)
+    results = []
+    for eps, eps_c in zip(eps_list, solved):
+        prob.set_objective(_ACC, [[-(1.0 - eps_c)]])
+        solution = _solve(prob)
+        y = solution.dual_multipliers
+        g = linalg.hermitian_part(solution.primal_blocks[_G])
+        rho_mat = None
+        if rho_ref is None:
+            rho_opt = rho_basis.operator(y[len(r_basis) + 1:])
+            rho_mat = (rho_opt / np.trace(rho_opt).real).T
+        diagnostics = dict(solution.residuals, iterations=solution.iterations,
+                           dual_objective=-solution.primal_objective)
+        if eps_c != eps:
+            diagnostics["eps_solved"] = eps_c
+        results.append(_result(-solution.dual_objective, eps, cls, n,
+                               optimal_r=r_basis.operator(y[:len(r_basis)]),
+                               optimal_sigma=g / np.trace(g).real,
+                               optimal_rho=rho_mat, diagnostics=diagnostics))
+        now = time.perf_counter()
+        diagnostics["wall_s"], start = now - start, now
+    return results
 
 
-def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float,
-             cls: TestClass = TestClass.ALL, n: int = 1) -> BoundResult:
+def _per_eps(eps, bound):
+    """``bound(eps_list)`` on eps as a list: its results for a sequence of eps,
+    or the one result for a single eps."""
+    single = np.ndim(eps) == 0
+    results = bound([eps] if single else list(eps))
+    return results[0] if single else results
+
+
+def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float | Sequence[float],
+             cls: TestClass = TestClass.ALL, n: int = 1) -> BoundResult | list[BoundResult]:
     """Converse bound for n uses of ``channel`` at a fixed average input
     state ``rho`` of the n uses, or at the maximally mixed one when ``rho``
     is None.
+
+    ``eps`` is one error probability, giving one result, or a sequence,
+    giving one result per eps: one program is built and solved once per
+    eps (``_ea_bound``), and a single eps is the one-element case.
 
     Returns bits = -log2(min lambda) where lambda I >= Tr_ref R, subject to
     acceptance probability <choi, R> >= 1-eps on the channel hypothesis and
@@ -245,8 +281,9 @@ def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float,
     if rho is not None and rho.dim != da:
         raise ValueError(f"state dim {rho.dim} != channel input dim {da}")
     ref = (lambda: np.eye(da, dtype=complex) / da) if rho is None else (lambda: _ref_state(rho))
-    return _ea_bound((da, db), lambda: quantum.tensor_power(channel, n).choi, eps, cls,
-                     ref, sdp.hermitian_basis(da * db), n=n)
+    return _per_eps(eps, lambda eps_list: _ea_bound(
+        (da, db), lambda: quantum.tensor_power(channel, n).choi, eps_list, cls,
+        ref, sdp.hermitian_basis(da * db), n=n))
 
 
 def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> BoundResult:
@@ -282,9 +319,12 @@ def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> Bo
     return _result(-solution.primal_objective, eps, TestClass.ALL, diagnostics=diagnostics)
 
 
-def ea_bound_opt_rho(channel: QuantumChannel, eps: float,
-                     cls: TestClass = TestClass.ALL, n: int = 1) -> BoundResult:
+def ea_bound_opt_rho(channel: QuantumChannel, eps: float | Sequence[float],
+                     cls: TestClass = TestClass.ALL,
+                     n: int = 1) -> BoundResult | list[BoundResult]:
     """Converse bound for n uses of ``channel``, maximized over input states.
+    ``eps`` is one value or a sequence, as in ``ea_bound``: one program is
+    built and solved once per eps.
 
     Joint program: the reference state becomes a variable with
     rho_ref >= 0 and Tr rho_ref <= 1, the cap R <= rho_ref ⊗ I staying
@@ -301,9 +341,10 @@ def ea_bound_opt_rho(channel: QuantumChannel, eps: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     da, db = channel.dim_in, channel.dim_out
-    return _ea_bound((da**n, db**n), lambda: quantum.tensor_power(channel, n).choi, eps, cls,
-                     None, sdp.invariant_basis((da, db), n), sdp.invariant_basis((da,), n),
-                     sdp.invariant_frame((db,), n), n)
+    return _per_eps(eps, lambda eps_list: _ea_bound(
+        (da**n, db**n), lambda: quantum.tensor_power(channel, n).choi, eps_list, cls,
+        None, sdp.invariant_basis((da, db), n), sdp.invariant_basis((da,), n),
+        sdp.invariant_frame((db,), n), n))
 
 
 def binary_entropy(p: float) -> float:
@@ -344,7 +385,9 @@ def depolarising_exact(d: int, p: float, n: int, eps: float) -> BoundResult:
     mu = (1-p) + p/d² against lam = 1/d², evaluated by the closed-form
     binomial expression. ``binomial_beta`` sums only the terms near the
     test's threshold: O(sqrt(n b)) of them for b = 136 working bits.
+    ``diagnostics["wall_s"]`` is the wall time of the call.
     """
+    start = time.perf_counter()
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     if not 0.0 <= p <= 1.0:
@@ -356,7 +399,7 @@ def depolarising_exact(d: int, p: float, n: int, eps: float) -> BoundResult:
     tr = binomial_beta(mu, lam, n, eps)
     return _result(tr.beta, eps, TestClass.ALL, n,
                    diagnostics={"mu": mu, "lam": lam, "threshold": tr.threshold,
-                                "gamma": tr.gamma})
+                                "gamma": tr.gamma, "wall_s": time.perf_counter() - start})
 
 
 def _embedding_choi(w: np.ndarray) -> np.ndarray:
@@ -370,8 +413,8 @@ def _distribution(v: np.ndarray) -> np.ndarray:
     return v / v.sum()
 
 
-def classical_converse(w: np.ndarray, eps: float,
-                       p: np.ndarray | None = None) -> BoundResult:
+def classical_converse(w: np.ndarray, eps: float | Sequence[float],
+                       p: np.ndarray | None = None) -> BoundResult | list[BoundResult]:
     """Converse for a classical channel given by a column-stochastic matrix.
 
     -log2 of the minimal type-II error of the classical test between the
@@ -385,6 +428,10 @@ def classical_converse(w: np.ndarray, eps: float,
     beta is then evaluated by the classical Neyman-Pearson test at the
     requested eps. The program's size is bounded only by
     ``sdp.problem.MAX_PROGRAM_BYTES``.
+
+    ``eps`` is one value or a sequence, as in ``ea_bound``: one program is
+    built and solved once per eps, and ``diagnostics["wall_s"]`` adds the
+    Neyman-Pearson test to the solve's.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or not np.isfinite(w).all() or w.min() < -1e-12:
@@ -395,14 +442,21 @@ def classical_converse(w: np.ndarray, eps: float,
     # 1e-12 sum check sees exact distributions
     w = np.maximum(w, 0.0)
     w = w / w.sum(axis=0)
+    return _per_eps(eps, lambda eps_list: _classical_converse(w, eps_list, p))
+
+
+def _classical_converse(w: np.ndarray, eps_list: list[float],
+                        p: np.ndarray | None) -> list[BoundResult]:
+    """``classical_converse`` of a checked channel matrix at each eps."""
     nb, na = w.shape
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
+    for eps in eps_list:
+        if not 0.0 <= eps < 1.0:
+            raise ValueError(f"eps must be in [0, 1), got {eps}")
     if p is None:
-        res = _ea_bound((na, nb), lambda: _embedding_choi(w), eps, TestClass.ALL, None,
-                        sdp.diagonal_basis(na * nb), sdp.diagonal_basis(na),
-                        sdp.diagonal_frame(nb))
-        p = _distribution(np.diag(res.optimal_rho).real)
+        results = _ea_bound((na, nb), lambda: _embedding_choi(w), eps_list, TestClass.ALL, None,
+                            sdp.diagonal_basis(na * nb), sdp.diagonal_basis(na),
+                            sdp.diagonal_frame(nb))
+        inputs = [_distribution(np.diag(res.optimal_rho).real) for res in results]
     else:
         p = np.asarray(p, dtype=float)
         if p.shape != (na,) or not np.isfinite(p).all() or p.min() < 0 \
@@ -411,16 +465,22 @@ def classical_converse(w: np.ndarray, eps: float,
         p = p / p.sum()
         used = p > 0  # unused input symbols would leave the program without an interior
         k = int(used.sum())
-        res = _ea_bound((k, nb), lambda: _embedding_choi(w[:, used]), eps, TestClass.ALL,
-                        lambda: np.diag(p[used]).astype(complex), sdp.diagonal_basis(k * nb),
-                        g_frame=sdp.diagonal_frame(nb))
-    q = _distribution(np.diag(res.optimal_sigma).real)
-    joint = (w * p[None, :]).T.reshape(-1)  # index a*nb + b
-    beta = classical_np_beta(joint, np.outer(p, q).reshape(-1), eps).beta
-    return _result(beta, eps, TestClass.ALL,
-                   optimal_sigma=np.diag(q).astype(complex),
-                   optimal_rho=np.diag(p).astype(complex),
-                   diagnostics={"input_distribution": p.tolist()})
+        results = _ea_bound((k, nb), lambda: _embedding_choi(w[:, used]), eps_list,
+                            TestClass.ALL, lambda: np.diag(p[used]).astype(complex),
+                            sdp.diagonal_basis(k * nb), g_frame=sdp.diagonal_frame(nb))
+        inputs = [p] * len(results)
+    out = []
+    for res, p in zip(results, inputs):
+        start = time.perf_counter()
+        q = _distribution(np.diag(res.optimal_sigma).real)
+        joint = (w * p[None, :]).T.reshape(-1)  # index a*nb + b
+        beta = classical_np_beta(joint, np.outer(p, q).reshape(-1), res.epsilon).beta
+        wall_s = res.diagnostics["wall_s"] + time.perf_counter() - start
+        out.append(_result(beta, res.epsilon, TestClass.ALL,
+                           optimal_sigma=np.diag(q).astype(complex),
+                           optimal_rho=np.diag(p).astype(complex),
+                           diagnostics={"input_distribution": p.tolist(), "wall_s": wall_s}))
+    return out
 
 
 def wang_renner_chi(ensemble: list[tuple[float, DensityMatrix]],

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from conftest import rand_channel, rand_classical_channel, rand_povm, rand_state
 from oracles import classical_converse_bits, identity_opt_input_bound
-from qconv import bounds, linalg, quantum, sdp
+from qconv import bounds, cli, linalg, quantum, sdp
 from qconv.bounds import (TestClass, binary_entropy, binary_relative_entropy,
                           classical_converse, depolarising_exact, ea_bound, ea_bound_dual,
                           ea_bound_opt_rho, fano_bound, noisy_storage_minentropy,
@@ -427,10 +429,10 @@ class TestClassicalConverse:
     def test_diagonal_program_equals_full_program(self):
         # the phase-invariant (diagonal) R and rho_ref lose nothing on a classical channel
         w, chan = rand_classical_channel(np.random.default_rng(33), 3, 3)
-        diag = bounds._ea_bound((3, 3), lambda: chan.choi, 0.1, TestClass.ALL, None,
-                                sdp.diagonal_basis(9), sdp.diagonal_basis(3))
-        full = bounds._ea_bound((3, 3), lambda: chan.choi, 0.1, TestClass.ALL, None,
-                                sdp.hermitian_basis(9), sdp.hermitian_basis(3))
+        (diag,) = bounds._ea_bound((3, 3), lambda: chan.choi, [0.1], TestClass.ALL, None,
+                                   sdp.diagonal_basis(9), sdp.diagonal_basis(3))
+        (full,) = bounds._ea_bound((3, 3), lambda: chan.choi, [0.1], TestClass.ALL, None,
+                                   sdp.hermitian_basis(9), sdp.hermitian_basis(3))
         assert diag.bits == pytest.approx(full.bits, abs=1e-7)
         assert classical_converse(w, 0.1).bits == pytest.approx(full.bits, abs=1e-7)
 
@@ -515,10 +517,11 @@ class TestInvariantPrograms:
         chan = tensor_power(DEPOL, 2)
         r_basis, rho_basis = sdp.invariant_basis((2, 2), 2), sdp.invariant_basis((2,), 2)
         whole = [sdp.Basis(len(b), lambda b=b: iter(b)) for b in (r_basis, rho_basis)]
-        for eps in (0.01428, 0.05638, 0.1474):
-            split = bounds._ea_bound((4, 4), lambda: chan.choi, eps, cls, None, r_basis,
-                                     rho_basis, sdp.invariant_frame((2,), 2))
-            unsplit = bounds._ea_bound((4, 4), lambda: chan.choi, eps, cls, None, *whole)
+        eps_list = [0.01428, 0.05638, 0.1474]
+        splits = bounds._ea_bound((4, 4), lambda: chan.choi, eps_list, cls, None, r_basis,
+                                  rho_basis, sdp.invariant_frame((2,), 2))
+        unsplits = bounds._ea_bound((4, 4), lambda: chan.choi, eps_list, cls, None, *whole)
+        for eps, split, unsplit in zip(eps_list, splits, unsplits, strict=True):
             assert split.diagnostics["iterations"] == unsplit.diagnostics["iterations"]
             assert split.bits == pytest.approx(unsplit.bits, abs=1e-8)
             assert split.bits == pytest.approx(
@@ -548,6 +551,86 @@ class TestInvariantPrograms:
             want = -np.log2(classical_np_beta(p_n, np.full(4**n, 4.0**-n), eps).beta)
             got = ea_bound_opt_rho(_pauli_channel(probs), eps, TestClass.ALL, n).bits
             assert got == pytest.approx(want, abs=1e-6)
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record the test class of every ``_ea_problem`` build."""
+    built = []
+    build = bounds._ea_problem
+
+    def counted(dims, choi, eps, cls, *args, **kwargs):
+        built.append(cls)
+        return build(dims, choi, eps, cls, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_ea_problem", counted)
+    return built
+
+
+class TestEpsGrids:
+    """A sequence of eps builds one program and solves it once per eps; each
+    result is exactly that of the one-eps call, whose program is its own."""
+
+    EPS = [0.2, 0.01, 0.05]  # unsorted: results come back in the given order
+
+    def _check(self, grid, one):
+        assert [res.epsilon for res in grid] == self.EPS
+        for res in grid:
+            single = one(res.epsilon)
+            assert res.bits == single.bits
+            assert res.beta == single.beta
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_opt_rho(self, monkeypatch, cls, n):
+        built = _count_builds(monkeypatch)
+        grid = ea_bound_opt_rho(DEPOL, self.EPS, cls, n)
+        assert built == [cls]
+        self._check(grid, lambda eps: ea_bound_opt_rho(DEPOL, eps, cls, n))
+
+    @pytest.mark.parametrize("state", ["maximally-mixed", "file"])
+    def test_fixed_input(self, monkeypatch, tmp_path, state):
+        rho = None
+        if state == "file":
+            path = tmp_path / "rho.json"
+            mat = rand_state(np.random.default_rng(5), 2).mat
+            path.write_text(json.dumps({"dim": 2, "data": [[[z.real, z.imag] for z in row]
+                                                           for row in mat]}))
+            rho = cli.load_state(str(path))
+        built = _count_builds(monkeypatch)
+        grid = ea_bound(DEPOL, rho, self.EPS, TestClass.PPT)
+        assert built == [TestClass.PPT]
+        self._check(grid, lambda eps: ea_bound(DEPOL, rho, eps, TestClass.PPT))
+
+    @pytest.mark.parametrize("p", [None, np.array([0.3, 0.7, 0.0])])
+    def test_classical(self, monkeypatch, p):
+        w, _ = rand_classical_channel(np.random.default_rng(33), 3, 3)
+        built = _count_builds(monkeypatch)
+        grid = classical_converse(w, self.EPS, p)
+        assert built == [TestClass.ALL]
+        self._check(grid, lambda eps: classical_converse(w, eps, p))
+
+    def test_every_eps_is_checked_before_the_build(self, monkeypatch):
+        built = _count_builds(monkeypatch)
+        with pytest.raises(ValueError, match="eps must be in"):
+            ea_bound_opt_rho(DEPOL, [0.05, 1.0 - 1e-10])
+        with pytest.raises(ValueError, match="eps must be in"):
+            classical_converse(np.eye(2), [0.05, 1.0])
+        with pytest.raises(ValueError, match="at least one eps"):
+            ea_bound(DEPOL, None, [])
+        assert built == []
+
+    def test_the_first_eps_carries_the_build(self, monkeypatch):
+        # the wall time of a result runs from the previous one, so the build,
+        # made slow here, lands on the first eps only
+        build = bounds._ea_problem
+
+        def slow(*args, **kwargs):
+            time.sleep(0.5)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_ea_problem", slow)
+        first, second = ea_bound(DEPOL, None, [0.05, 0.1])
+        assert first.diagnostics["wall_s"] >= 0.5 > second.diagnostics["wall_s"]
 
 
 class TestWangRennerChi:

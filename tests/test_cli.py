@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qconv import bounds, cli, quantum
+from qconv import bounds, cli, quantum, sdp
 
 
 def _write_identity_channel(path, d=2):
@@ -124,6 +124,37 @@ class TestGridCommands:
         assert cli.main(args + ["--out", str(out), "--timing"]) == 0
         wall = out.read_text().strip().splitlines()[1].split(",")[6]
         assert float(wall) > 0.0
+
+    @pytest.mark.parametrize("command", ["bound", "classical"])
+    def test_bad_eps_fails_before_any_solve(self, tmp_path, monkeypatch, capsys, command):
+        # 0.9999999999 lies in (0, 1) but above bounds.EPS_MAX: every eps of
+        # the grid is checked before the first program is built
+        solves = []
+        monkeypatch.setattr(sdp, "solve", lambda problem: solves.append(problem))
+        args = _grid_argv(tmp_path, command) + ["--eps", "0.05,0.9999999999"]
+        assert cli.main(args + ["--out", str(tmp_path / "grid.csv")]) == 2
+        assert "eps must be in" in capsys.readouterr().err
+        assert solves == []
+
+    def test_one_program_per_n(self, tmp_path, monkeypatch):
+        built, solved = [], []
+        build, solve = bounds._ea_problem, sdp.solve
+
+        def counted_build(*args, **kwargs):
+            built.append(args[3])
+            return build(*args, **kwargs)
+
+        def counted_solve(problem):
+            solved.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(bounds, "_ea_problem", counted_build)
+        monkeypatch.setattr(sdp, "solve", counted_solve)
+        args = _grid_argv(tmp_path, "bound") + ["--eps", "0.05,0.1,0.2", "--n", "1,2",
+                                                "--rho", "optimize", "--class", "ppt"]
+        assert cli.main(args + ["--out", str(tmp_path / "grid.csv")]) == 0
+        assert built == [bounds.TestClass.PPT] * 2
+        assert len(solved) == 6 and len(set(map(id, solved))) == 2
 
 
 class TestDepolCommand:

@@ -184,6 +184,44 @@ class TestSolverContracts:
         for x1, x2 in zip(sol1.primal_blocks, sol2.primal_blocks):
             assert np.array_equal(x1, x2)
 
+    @pytest.mark.parametrize("program", ["optimised", "fixed"])
+    def test_solve_leaves_its_problem_alone(self, program):
+        # a converse grid solves one program per eps, resetting only the _ACC
+        # objective in between: a solve reads its problem and changes nothing.
+        # The optimised program has framed dense blocks and vector blocks, the
+        # fixed-input one objectives on its dense cap blocks
+        build = _depol_ppt_program if program == "optimised" else _depol_fixed_program
+        prob = build(0.05)
+        coeffs = [{k: a.copy() for k, a in con.coeffs.items()} for con in prob.constraints]
+        rows = [(con.rhs, con.sense) for con in prob.constraints]
+        objective = {k: c.copy() for k, c in prob.objective.items()}
+
+        def same(sol1, sol2):
+            assert np.array_equal(sol1.dual_multipliers, sol2.dual_multipliers)
+            assert sol1.primal_objective == sol2.primal_objective
+            assert sol1.dual_objective == sol2.dual_objective
+            assert sol1.iterations == sol2.iterations
+
+        def unchanged():
+            assert [(con.rhs, con.sense) for con in prob.constraints] == rows
+            for con, before in zip(prob.constraints, coeffs, strict=True):
+                assert con.coeffs.keys() == before.keys()
+                assert all(np.array_equal(con.coeffs[k], a) for k, a in before.items())
+            assert prob.objective.keys() == objective.keys()
+            assert all(np.array_equal(prob.objective[k], c) for k, c in objective.items()
+                       if k != bounds._ACC)
+
+        first = solve(prob)
+        unchanged()
+        same(first, solve(prob))
+        unchanged()
+        assert np.array_equal(prob.objective[bounds._ACC], objective[bounds._ACC])
+        prob.set_objective(bounds._ACC, [[-(1.0 - 0.2)]])
+        reset = solve(prob)
+        unchanged()
+        assert reset.dual_objective != first.dual_objective
+        same(reset, solve(build(0.2)))
+
     def test_primal_infeasible_detected(self):
         prob = SdpProblem([1])
         prob.set_objective(0, [[1.0]])
@@ -369,12 +407,20 @@ class TestVerify:
         assert report.max_equality_violation <= 1e-9
 
 
-def _depol_ppt_program():
+def _depol_ppt_program(eps=0.05):
     """The n = 2 PPT optimised-input program of the qubit depolarising channel."""
     chan = quantum.tensor_power(quantum.depolarising_channel(2, 0.15), 2)
-    return bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, bounds.TestClass.PPT, None,
+    return bounds._ea_problem((4, 4), lambda: chan.choi, eps, bounds.TestClass.PPT, None,
                               invariant_basis((2, 2), 2), invariant_basis((2,), 2),
                               invariant_frame((2,), 2))
+
+
+def _depol_fixed_program(eps):
+    """The one-use PPT program of the qubit depolarising channel at the input
+    diag(0.8, 0.2), whose cap objectives set the solver's objective scale."""
+    chan = quantum.depolarising_channel(2, 0.15)
+    return bounds._ea_problem((2, 2), lambda: chan.choi, eps, bounds.TestClass.PPT,
+                              lambda: np.diag([0.8, 0.2]).astype(complex), hermitian_basis(4))
 
 
 def _classical_program(p=None):
