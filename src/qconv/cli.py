@@ -225,6 +225,11 @@ def cmd_bound(args) -> int:
         return _grid(args, ns, eps_list,
                      lambda n, eps_list: bounds.ea_bound_opt_rho(channel, eps_list, cls, n))
     rho = None if args.rho == "maximally-mixed" else load_state(args.rho)
+    # the state must fit every n before the first solve, not when the grid reaches it
+    for n in ns:
+        if rho is not None and rho.dim != channel.dim_in**n:
+            raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in**n}"
+                             f" at n = {n}")
     return _grid(args, ns, eps_list,
                  lambda n, eps_list: bounds.ea_bound(channel, rho, eps_list, cls, n))
 

@@ -24,8 +24,8 @@ def require_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(X + X†)/2."""
-    return (x + x.conj().T) / 2
+    """(X + X†)/2; of each matrix of a stack (..., d, d)."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def require_hermitian(x: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:

@@ -20,14 +20,25 @@ together one pair of nonnegative vectors x, s, scaled, stepped and
 corrected elementwise with the arithmetic of a 1x1 block; the other
 sub-blocks are dense.
 
-Each block stores only the constraint rows that touch it, once, and the
-Schur matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block
-into those rows. The conjugations the inner products need are taken on the
-iterates and on each fresh W A W product, never on a stored copy of A.
-Each Newton system (one for the predictor, one for the corrector) is a
-single dense LU solve of M, with a least-squares fallback when M is
-exactly singular. Each dense matrix is eigendecomposed once per iteration
-for all the powers taken of it.
+Each block stores only the constraint rows that touch it, once, as
+contiguous runs of rows, and the Schur matrix
+M_ij = sum_k Re<A_ik, W_k A_jk W_k> is assembled block by block: each
+block's product is added into M through the slices of its runs, so every
+entry of M gets its additions in the problem's block order. The
+conjugations the inner products need are taken on the iterates and on
+each fresh W A W product, never on a stored copy of A. Each Newton system
+(one for the predictor, one for the corrector) is a single dense LU solve
+of M, with a least-squares fallback when M is exactly singular.
+
+The dense sub-blocks of one size are one 3-D stack: the iterates, the
+scaling point W, G = W^(1/2), G^-1 and the scaled variable V are one
+(count, s, s) array per size, so NT scaling, the inverse square roots,
+the step length, the corrector, the Newton directions and the iterate
+update take one numpy call per size, not one per sub-block. numpy rounds
+each member of a stacked product or eigendecomposition as it would the
+matrix alone. Each stack is eigendecomposed once per iteration for all
+the powers taken of it. Per-block scalars (objective, mu, residual norms)
+are reduced per member and summed in the problem's block order.
 
 Every produced iterate is re-symmetrized, so Hermiticity is maintained to
 roundoff. The solve is deterministic for identical input data.
@@ -46,6 +57,21 @@ TOL_FEAS = 1e-8  # scaled primal and dual residual at which a solve is optimal
 MAX_ITER = 200
 
 
+def _runs(rows: np.ndarray) -> list[tuple[slice, slice]]:
+    """Ascending row indices as contiguous runs: (slice of the constraint
+    rows, slice of the positions in ``rows``) for each."""
+    cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+    return [(slice(int(rows[a]), int(rows[b - 1]) + 1), slice(a, b))
+            for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+
+
+def _add_runs(M: np.ndarray, runs: list[tuple[slice, slice]], p: np.ndarray) -> None:
+    """M[rows, rows] += p, run by run."""
+    for mi, pi in runs:
+        for mj, pj in runs:
+            M[mi, mj] += p[pi, pj]
+
+
 class _StandardForm:
     """Equality-form data, stored per block over the rows that touch it.
 
@@ -53,17 +79,21 @@ class _StandardForm:
     sub-blocks (``SdpProblem.sub_blocks``); a block kept whole is one.
     Dense block j is an s x s sub-block with s > 1: it keeps the indices
     ``rows[j]`` of the constraint rows with a coefficient on its problem
-    block, and the sub-block of each, flattened to complex ``A[j]`` of shape
-    (len(rows[j]), s * s), with objective ``C[j]``. Vector block k holds
-    every 1x1 sub-block of one problem block: its rows ``vrows[k]`` and
-    their real coefficients ``vA[k]`` of shape (len(vrows[k]), count); its
-    entries are ``slices[k]`` of the vector variables, whose objective is
-    ``c``. ``layout`` gives, for every dense and vector block in the
-    problem's order, whether it is a vector block and its index among those
-    of its kind; ``block_of`` its problem block, of dimension
-    ``block_dims``, frame ``frames`` and sub-block sizes ``subs``; and
-    ``offsets`` where its entries sit in the problem block's packed
-    coefficients.
+    block, the same rows as contiguous ``runs[j]`` (``_runs``), and the
+    sub-block of each row's coefficient, flattened to complex ``A[j]`` of
+    shape (len(rows[j]), s * s). Dense blocks of one size are one stack:
+    ``groups[g]`` lists the dense blocks of stack g in the problem's order,
+    ``member[j]`` is the (stack, position) of dense block j, and the
+    objective ``C[g]`` has shape (len(groups[g]), s, s), as every dense
+    iterate does. Vector block k holds every 1x1 sub-block of one problem
+    block: its rows ``vrows[k]``, as runs ``vruns[k]``, and their real
+    coefficients ``vA[k]`` of shape (len(vrows[k]), count); its entries are
+    ``slices[k]`` of the vector variables, whose objective is ``c``.
+    ``layout`` gives, for every dense and vector block in the problem's
+    order, whether it is a vector block and its index among those of its
+    kind; ``block_of`` its problem block, of dimension ``block_dims``, frame
+    ``frames`` and sub-block sizes ``subs``; and ``offsets`` where its
+    entries sit in the problem block's packed coefficients.
 
     ``A`` and ``vA`` are the only copy of the coefficients the solver holds:
     16 * s**2 bytes per row on a dense block and 8 per entry on a vector
@@ -90,8 +120,8 @@ class _StandardForm:
         self.m = len(problem.constraints)
         self.b = np.array([c.rhs for c in problem.constraints], dtype=float)
         self.block_dims, self.frames, self.subs = dims, problem.frames, subs
-        self.dims, self.rows, self.A, self.C = [], [], [], []
-        self.vdims, self.vrows, self.vA, self.slices, c = [], [], [], [], []
+        self.dims, self.rows, self.runs, self.A, C = [], [], [], [], []
+        self.vdims, self.vrows, self.vruns, self.vA, self.slices, c = [], [], [], [], [], []
         self.layout: list[tuple[bool, int]] = []
         self.block_of, self.offsets = [], []
         for k, sizes in enumerate(subs):
@@ -108,10 +138,11 @@ class _StandardForm:
                 self.offsets.append(off)
                 self.dims.append(s)
                 self.rows.append(r)
+                self.runs.append(_runs(r))
                 # a block no row touches gets shape (0, s * s)
                 self.A.append(np.array([a[off:off + s * s] for a in coeffs[k]],
                                        dtype=complex).reshape(len(r), s * s))
-                self.C.append(obj[off:off + s * s].reshape(s, s).astype(complex))
+                C.append(obj[off:off + s * s].reshape(s, s).astype(complex))
             ones = offsets[np.array(sizes) == 1]
             if ones.size:
                 start = self.slices[-1].stop if self.slices else 0
@@ -121,20 +152,38 @@ class _StandardForm:
                 self.vdims.append(ones.size)
                 self.slices.append(slice(start, start + ones.size))
                 self.vrows.append(r)
+                self.vruns.append(_runs(r))
                 self.vA.append(np.array([a[ones].real for a in coeffs[k]],
                                         dtype=float).reshape(len(r), ones.size))
                 c.append(obj[ones].real)
+        groups: dict[int, list[int]] = {}
+        for j, s in enumerate(self.dims):
+            groups.setdefault(s, []).append(j)
+        self.groups = list(groups.values())
+        place = {j: (g, i) for g, group in enumerate(self.groups) for i, j in enumerate(group)}
+        self.member = [place[j] for j in range(len(self.dims))]
+        self.C = self.stacks(C)
         self.c = np.concatenate(c) if c else np.zeros(0)
         self.starts = np.array([sl.start for sl in self.slices], dtype=np.intp)
+
+    def stacks(self, dense: list) -> list[np.ndarray]:
+        """Per-dense-block matrices, in the problem's order, as the stacks."""
+        return [np.stack([dense[j] for j in group]) for group in self.groups]
+
+    def members(self, stacks: list) -> list:
+        """The stacks' members (matrices, or per-member values), one per
+        dense block in the problem's order."""
+        return [stacks[g][i] for g, i in self.member]
 
     def blocks(self):
         """(d, rows, coefficients, objective) of every block in the problem's
         order, slack blocks last; a vector block's are its real parts."""
+        C = self.members(self.C)
         for vector, j in self.layout:
             if vector:
                 yield self.vdims[j], self.vrows[j], self.vA[j], self.c[self.slices[j]]
             else:
-                yield self.dims[j], self.rows[j], self.A[j], self.C[j]
+                yield self.dims[j], self.rows[j], self.A[j], C[j]
 
     def block_norms(self, sq: list[float]) -> np.ndarray:
         """Per problem block, the root of the sum of ``sq`` over its dense
@@ -145,9 +194,10 @@ class _StandardForm:
         return np.sqrt(out)
 
     def problem_blocks(self, X: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-        """The problem's blocks, full size, from the dense blocks and the vector."""
+        """The problem's blocks, full size, from the dense stacks and the vector."""
         packed = [np.zeros(sum(s * s for s in sizes), dtype=complex)
                   for sizes in self.subs[:self.n_orig]]
+        X = self.members(X)
         for (vector, j), k, off in zip(self.layout, self.block_of, self.offsets):
             if k >= self.n_orig:
                 continue
@@ -165,21 +215,25 @@ class _StandardForm:
     def apply(self, X: list[np.ndarray], x: np.ndarray) -> np.ndarray:
         """A(X): vector of <A_i, X> = Re(A_i · conj(X)) over constraints."""
         out = np.zeros(self.m)
+        X = self.members(X)
         for vector, j in self.layout:
             if vector:
-                out[self.vrows[j]] += self.vA[j] @ x[self.slices[j]]
+                runs, ax = self.vruns[j], self.vA[j] @ x[self.slices[j]]
             else:
-                out[self.rows[j]] += (self.A[j] @ X[j].reshape(X[j].size).conj()).real
+                runs, ax = self.runs[j], (self.A[j] @ X[j].reshape(X[j].size).conj()).real
+            for mi, pi in runs:
+                out[mi] += ax[pi]
         return out
 
     def adjoint(self, y: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """A*(y): per-block sum_i y_i A_ik, dense blocks and the vector."""
+        """A*(y): per-block sum_i y_i A_ik, dense stacks and the vector."""
         vec = np.empty(self.c.size)
         for rows, a, sl in zip(self.vrows, self.vA, self.slices):
             # in complex arithmetic, as on a dense block, so that a 1x1 block
             # rounds, and steps, as the same block held dense would
             vec[sl] = (y[rows] @ a.astype(complex)).real
-        return [(y[rows] @ a).reshape(d, d) for rows, a, d in zip(self.rows, self.A, self.dims)], vec
+        return self.stacks([(y[rows] @ a).reshape(d, d)
+                            for rows, a, d in zip(self.rows, self.A, self.dims)]), vec
 
 
 def _block_sum(sf: _StandardForm, dense: list[float], vec: np.ndarray) -> float:
@@ -189,16 +243,22 @@ def _block_sum(sf: _StandardForm, dense: list[float], vec: np.ndarray) -> float:
     return sum(per_vec[j] if vector else dense[j] for vector, j in sf.layout)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.sum(a.conj() * b)))
+def _inner(a: list[np.ndarray], b: list[np.ndarray]) -> list[list[float]]:
+    """Re<a, b> of each member of each pair of stacks."""
+    return [np.real(np.sum(ak.conj() * bk, axis=(-2, -1))).tolist() for ak, bk in zip(a, b)]
 
 
-EIG_FLOOR_REL = 1e-14  # eigenvalues are raised to this fraction of the largest
+def _ct(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each member of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+EIG_FLOOR_REL = 1e-14  # eigenvalues are raised to this fraction of each member's largest
 
 
 def _eigh_clamped(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(linalg.hermitian_part(x))
-    floor = EIG_FLOOR_REL * max(float(w.max()), 1e-300)
+    floor = EIG_FLOOR_REL * np.maximum(w.max(axis=-1, keepdims=True), 1e-300)
     return np.maximum(w, floor), v
 
 
@@ -208,19 +268,20 @@ def _floor(x: np.ndarray) -> np.ndarray:
 
 
 def _powers(x: np.ndarray, *ps: float) -> list[np.ndarray]:
-    """x**p for each p, from one eigendecomposition of x."""
+    """x**p of each member for each p, from one eigendecomposition of x."""
     w, v = _eigh_clamped(x)
-    return [linalg.hermitian_part((v * w**p) @ v.conj().T) for p in ps]
+    return [linalg.hermitian_part((v * (w**p)[..., None, :]) @ _ct(v)) for p in ps]
 
 
 def _inv_sqrt(x: np.ndarray) -> np.ndarray:
     w, v = _eigh_clamped(x)
-    return (v * w**-0.5) @ v.conj().T
+    return (v * (w**-0.5)[..., None, :]) @ _ct(v)
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
     """NT scaling point W with W S W = X, plus G = W^(1/2) and the scaled
-    variable V = G S G (= G^-1 X G^-1) with its eigendecomposition."""
+    variable V = G S G (= G^-1 X G^-1) with its eigendecomposition, of each
+    member of a stack."""
     s_half, s_inv_half = _powers(s, 0.5, -0.5)
     inner = linalg.hermitian_part(s_half @ x @ s_half)
     (inner_half,) = _powers(inner, 0.5)
@@ -244,18 +305,20 @@ def _nt_scaling_vec(x: np.ndarray, s: np.ndarray):
 
 def _schur(sf: _StandardForm, W: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     """M_ij = sum_k Re<A_ik, W_k A_jk W_k> = sum_k Re(A_k · conj(W_k A_k W_k)ᵀ)_ij;
-    block k adds into M[rows_k, rows_k]. A vector block's W_k is diag(w[slice_k])."""
+    block k adds into M[rows_k, rows_k] through its runs. A vector block's
+    W_k is diag(w[slice_k])."""
     M = np.zeros((sf.m, sf.m))
+    W = sf.members(W)
     for vector, j in sf.layout:
         if vector:
-            rows, a, wk = sf.vrows[j], sf.vA[j], w[sf.slices[j]]
-            M[np.ix_(rows, rows)] += a @ ((wk * a) * wk).T
+            a, wk = sf.vA[j], w[sf.slices[j]]
+            _add_runs(M, sf.vruns[j], a @ ((wk * a) * wk).T)
             continue
-        rows, a, wk, d = sf.rows[j], sf.A[j], W[j], sf.dims[j]
-        r = len(rows)
+        a, wk, d = sf.A[j], W[j], sf.dims[j]
+        r = a.shape[0]
         bk = (wk @ a.reshape(r, d, d) @ wk).reshape(r, d * d)
         np.conjugate(bk, out=bk)  # in place: no second full-size temporary
-        M[np.ix_(rows, rows)] += (a @ bk.T).real
+        _add_runs(M, sf.runs[j], (a @ bk.T).real)
     return 0.5 * (M + M.T)
 
 
@@ -269,13 +332,13 @@ def _solve_newton(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _residuals(sf: _StandardForm, X, x, S, s, y, b_scale: float, c_scale: float):
     """Objectives, residuals and the scaled residual norms of an iterate."""
-    pobj = _block_sum(sf, [_inner(c, xk) for c, xk in zip(sf.C, X)], sf.c * x)
+    pobj = _block_sum(sf, sf.members(_inner(sf.C, X)), sf.c * x)
     dobj = float(sf.b @ y)
     rp = sf.b - sf.apply(X, x)
     ay, ay_vec = sf.adjoint(y)
     Rd = [c - sk - ayk for c, sk, ayk in zip(sf.C, S, ay)]
     rd = sf.c - s - ay_vec
-    dual_sq = _block_sum(sf, [float(np.linalg.norm(r)) ** 2 for r in Rd], rd * rd)
+    dual_sq = _block_sum(sf, [float(np.linalg.norm(r)) ** 2 for r in sf.members(Rd)], rd * rd)
     residuals = {
         "primal": float(np.linalg.norm(rp)) / b_scale,
         "dual": float(np.sqrt(dual_sq)) / c_scale,
@@ -293,8 +356,8 @@ def _meets_contract(residuals: dict) -> bool:
 def _max_step(X_ih: list[np.ndarray], dX: list[np.ndarray],
               x_ih: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with X + alpha dX >= 0 on every block (X > 0), given
-    X^(-1/2); a vector entry's ratio is x^(-1/2) dx x^(-1/2)."""
-    lam = [float(np.linalg.eigvalsh(linalg.hermitian_part(xi @ d @ xi.conj().T)).min())
+    X^(-1/2) as stacks; a vector entry's ratio is x^(-1/2) dx x^(-1/2)."""
+    lam = [float(np.linalg.eigvalsh(linalg.hermitian_part(xi @ d @ _ct(xi))).min())
            for xi, d in zip(X_ih, dX)]
     if dx.size:
         lam.append(float(((x_ih * dx) * x_ih).min()))
@@ -360,6 +423,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         else:
             X.append(xi * np.eye(d, dtype=complex))
             S.append(eta * np.eye(d, dtype=complex))
+    X, S = sf.stacks(X), sf.stacks(S)
     y = np.zeros(m)
 
     status = "iteration-limit"
@@ -367,7 +431,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     contract_iterate = None  # the last (X, x, S, s, y) that met the end-point contract
     for it in range(1, MAX_ITER + 1):
         pobj, dobj, rp, Rd, rd, residuals = _residuals(sf, X, x, S, s, y, b_scale, c_scale)
-        mu = _block_sum(sf, [_inner(xk, sk) for xk, sk in zip(X, S)], x * s) / n_total
+        mu = _block_sum(sf, sf.members(_inner(X, S)), x * s) / n_total
         if max(residuals["primal"], residuals["dual"]) <= TOL_FEAS \
                 and residuals["relative_gap"] <= TOL_GAP:
             status = "optimal"
@@ -378,7 +442,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if np.linalg.norm(y) > 1e13 * b_scale and dobj > 0:
             status = "primal-infeasible"
             break
-        traces = [float(np.trace(xk).real) for xk in X] + sf.block_sums(x).tolist()
+        traces = [float(np.trace(xk, axis1=-2, axis2=-1).real.max()) for xk in X] \
+            + sf.block_sums(x).tolist()
         if max(traces) > 1e13 * n_total * b_scale and pobj < 0:
             status = "dual-infeasible"
             break
@@ -405,8 +470,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         x_ih, s_ih = _floor(x) ** -0.5, _floor(s) ** -0.5
         ap_aff = min(1.0, _max_step(X_ih, dX_a, x_ih, dx_a))
         ad_aff = min(1.0, _max_step(S_ih, dS_a, s_ih, ds_a))
-        mu_aff = _block_sum(sf, [_inner(xk + ap_aff * dx, sk + ad_aff * ds)
-                                 for xk, dx, sk, ds in zip(X, dX_a, S, dS_a)],
+        mu_aff = _block_sum(sf, sf.members(_inner([xk + ap_aff * dx for xk, dx in zip(X, dX_a)],
+                                                  [sk + ad_aff * ds for sk, ds in zip(S, dS_a)])),
                             (x + ap_aff * dx_a) * (s + ad_aff * ds_a)) / n_total
         sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-10), 1.0) if mu > 0 else 0.1
 
@@ -417,11 +482,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
             dx_hat = gk_inv @ dx @ gk_inv
             ds_hat = gk @ ds @ gk
             corr = 0.5 * (dx_hat @ ds_hat + ds_hat @ dx_hat)
-            target = sigma * mu * np.eye(gk.shape[0]) - corr
-            zp = v_vecs.conj().T @ target @ v_vecs
-            zp = 2.0 * zp / (v_eigs[:, None] + v_eigs[None, :])
-            np.fill_diagonal(zp, zp.diagonal() - v_eigs)  # the -V part of -V^2
-            rc_hat = v_vecs @ zp @ v_vecs.conj().T
+            diag = np.arange(gk.shape[-1])
+            target = sigma * mu * np.eye(diag.size) - corr
+            zp = _ct(v_vecs) @ target @ v_vecs
+            zp = 2.0 * zp / (v_eigs[..., :, None] + v_eigs[..., None, :])
+            zp[..., diag, diag] -= v_eigs  # the -V part of -V^2
+            rc_hat = v_vecs @ zp @ _ct(v_vecs)
             Rc.append(linalg.hermitian_part(gk @ rc_hat @ gk))
         dx_hat = (g_inv * dx_a) * g_inv
         ds_hat = (g * ds_a) * g

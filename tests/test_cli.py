@@ -136,6 +136,19 @@ class TestGridCommands:
         assert "eps must be in" in capsys.readouterr().err
         assert solves == []
 
+    def test_state_of_the_wrong_dimension_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # a qubit state fits n = 1 but not n = 2: the grid solves nothing
+        solves = []
+        monkeypatch.setattr(sdp, "solve", lambda problem: solves.append(problem))
+        state = tmp_path / "rho.json"
+        state.write_text(json.dumps({"dim": 2, "data": _mat_to_pairs(np.eye(2) / 2)}))
+        args = _grid_argv(tmp_path, "bound") + ["--eps", "0.05,0.1", "--n", "1,2",
+                                                "--rho", str(state)]
+        assert cli.main(args + ["--out", str(tmp_path / "grid.csv")]) == 2
+        assert "state dim 2 != channel input dim 4 at n = 2" in capsys.readouterr().err
+        assert solves == []
+
     def test_one_program_per_n(self, tmp_path, monkeypatch):
         built, solved = [], []
         build, solve = bounds._ea_problem, sdp.solve

@@ -10,7 +10,7 @@ from conftest import operator_equality, rand_classical_channel, rand_unitary
 from qconv import bounds, quantum
 from qconv.sdp import (SdpProblem, diagonal_basis, diagonal_frame, hermitian_basis,
                        invariant_basis, invariant_frame, solve, solver, verify)
-from qconv.sdp.solver import _schur, _StandardForm
+from qconv.sdp.solver import _inv_sqrt, _max_step, _nt_scaling, _schur, _StandardForm
 
 
 def _scalar_lower_bound_problem():
@@ -459,14 +459,14 @@ def _dense_constraints(prob, sf):
 
 def _split(sf, blocks):
     """Per-block matrices, in the problem's order, as the solver's dense
-    blocks and vector."""
+    stacks and vector."""
     dense, vec = [], np.zeros(sf.c.size)
     for (vector, j), x in zip(sf.layout, blocks):
         if vector:
             vec[sf.slices[j]] = np.diagonal(x).real
         else:
             dense.append(x)
-    return dense, vec
+    return sf.stacks(dense), vec
 
 
 def _random_hermitian(rng, d, definite=False):
@@ -485,11 +485,23 @@ class TestStandardFormKernels:
         # into 3 and 1; the 1x1 sub-blocks of the adversary's and the rho_ref
         # block, and the acceptance, trace and lambda-slack blocks, are vector
         # blocks. Every classical block is one
+        # The dense sub-blocks are three stacks, one per size, and every row
+        # set is one run of rows, or two around the lambda row 136
         sf = _StandardForm(_depol_ppt_program())
         assert sf.dims == [10, 6, 10, 6, 3, 10, 6, 10, 6, 3] and sf.vdims == [1, 1, 1, 1, 1]
         assert sf.block_of == [0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8]
+        assert sf.groups == [[0, 2, 5, 7], [1, 3, 6, 8], [4, 9]]
+        assert [c.shape for c in sf.C] == [(4, 10, 10), (4, 6, 6), (2, 3, 3)]
+        assert sf.member[4] == (2, 0) and sf.member[9] == (2, 1)
+        rows = [[(mi.start, mi.stop) for mi, _ in runs] for runs in sf.runs + sf.vruns]
+        assert {len(r) for r in rows} == {1, 2}
+        assert [(0, 136), (137, 147)] in rows
+        for runs, r in zip(sf.runs + sf.vruns, sf.rows + sf.vrows):
+            assert np.array_equal(np.concatenate([r[pi] for _, pi in runs]),
+                                  np.concatenate([np.arange(m.start, m.stop) for m, _ in runs]))
         sf = _StandardForm(_classical_program())
         assert sf.dims == [] and sf.vdims == [9, 9, 3, 1, 3, 1, 1]
+        assert sf.C == [] and sf.groups == []
         assert [a.shape for a in sf.vA] == [(9, 9), (12, 9), (10, 3), (9, 1), (3, 3), (3, 1),
                                             (1, 1)]
 
@@ -508,6 +520,50 @@ class TestStandardFormKernels:
                 want += np.real(a.conj().reshape(sf.m, -1) @ wa.reshape(sf.m, -1).T)
             got = _schur(sf, *_split(sf, W))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_schur_equals_index_scatter(self, rng):
+        # each block's product added into M[np.ix_(rows, rows)] in the
+        # problem's block order: the run-by-run assembly adds the same terms
+        # into every entry in the same order, so M is the same bit for bit
+        for program in _KERNEL_PROGRAMS:
+            sf = _StandardForm(program())
+            W = [np.diag(rng.uniform(0.5, 2.0, size=d)).astype(complex) if vector
+                 else _random_hermitian(rng, d, definite=True)
+                 for (vector, _), (d, *_) in zip(sf.layout, sf.blocks())]
+            stacks, w = _split(sf, W)
+            want = np.zeros((sf.m, sf.m))
+            for (vector, j), (d, rows, a, _), wk in zip(sf.layout, sf.blocks(), W):
+                if vector:
+                    wv = w[sf.slices[j]]
+                    want[np.ix_(rows, rows)] += a @ ((wv * a) * wv).T
+                else:
+                    bk = (wk @ a.reshape(len(rows), d, d) @ wk).reshape(len(rows), d * d)
+                    want[np.ix_(rows, rows)] += (a @ bk.conj().T).real
+            assert np.array_equal(_schur(sf, stacks, w), 0.5 * (want + want.T))
+
+    def test_stacked_kernels_equal_one_member_stacks(self, rng):
+        # NT scaling, inverse square roots and the step length of a stack of
+        # sub-blocks are exactly those of each sub-block alone; one member is
+        # far smaller than the rest, so a floor taken over the whole stack
+        # would clamp its eigenvalues
+        no_vector = np.zeros(0)
+        ih, dX = [], []
+        for d in (3, 6, 10):
+            X, S, D = (np.stack([_random_hermitian(rng, d, definite) for _ in range(4)])
+                       for definite in (True, True, False))
+            X[2] *= 1e-18
+            scaling = _nt_scaling(X, S)
+            for i in range(4):
+                alone = _nt_scaling(X[i:i + 1].copy(), S[i:i + 1].copy())
+                assert all(np.array_equal(a[i:i + 1], b) for a, b in zip(scaling, alone))
+            ih.append(_inv_sqrt(X))
+            dX.append(D)
+            for i in range(4):
+                assert np.array_equal(ih[-1][i:i + 1], _inv_sqrt(X[i:i + 1].copy()))
+        step = _max_step(ih, dX, no_vector, no_vector)
+        assert np.isfinite(step)
+        assert step == min(_max_step([x[i:i + 1].copy()], [d[i:i + 1].copy()], no_vector, no_vector)
+                           for x, d in zip(ih, dX) for i in range(4))
 
     def test_apply_and_adjoint(self, rng):
         for program in _KERNEL_PROGRAMS:
