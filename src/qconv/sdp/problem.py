@@ -29,8 +29,9 @@ blocks for diagonal phases), and a block-diagonal linear matrix inequality
 holds exactly when each of its diagonal sub-blocks is PSD (Murota, Kanno,
 Kojima & Kojima, JJIAM 2010). Such a block keeps only those sub-blocks.
 Scalar inequality rows are converted to equalities with 1x1 slack blocks
-inside the solver, which holds every 1x1 block and sub-block as a real
-vector entry.
+inside the solver, which stacks the sub-blocks of each size, 1x1 blocks,
+1x1 sub-blocks and slacks alike, and holds every row's coefficients on a
+stack as one dense matrix.
 
 A problem counts, as its rows are declared, the coefficient bytes it will
 hold during a solve, and rejects rows that would take the program over
@@ -135,11 +136,11 @@ class SdpProblem:
     ``coefficient_bytes`` is what the declared rows will hold during a
     solve, and it is exact. Each row keeps its own coefficient here: 16
     bytes per entry of the packed sub-blocks on a framed block, or of the
-    d x d matrix on another. The solver keeps a second copy, split into
-    the same sub-blocks (a block kept whole is one): 16·s² bytes on an
-    s x s sub-block with s > 1 and 8 on a 1x1 one, which it holds as a real
-    vector entry. It also gives each inequality row a 1x1 slack
-    coefficient, 8 bytes.
+    d x d matrix on another. The solver keeps a second copy, dense over
+    every row and block: 16·m·(P + q) bytes for m rows, P packed entries
+    over all blocks (sum s² over their sub-blocks) and q inequality rows,
+    each of which gets a 1x1 slack. So a row costs the solver 16·(P + q)
+    bytes, and a block added after m rows 16·m·sum s².
     """
 
     def __init__(self, block_dims: list[int], frames: list[Frame | None] | None = None):
@@ -147,17 +148,19 @@ class SdpProblem:
             raise ValueError(f"invalid block dimensions {block_dims}")
         self.block_dims: list[int] = []
         self.frames: list[Frame | None] = []
-        for d, frame in zip(block_dims, frames or [None] * len(block_dims), strict=True):
-            self.add_block(d, frame)
         self.objective: dict[int, np.ndarray] = {}
         self.constraints: list[LinearConstraint] = []
         self.coefficient_bytes = 0
+        self._held = self._rows = self._width = 0  # the rows' own entries; m; P + q
+        for d, frame in zip(block_dims, frames or [None] * len(block_dims), strict=True):
+            self.add_block(d, frame)
 
     def add_block(self, dim: int, frame: Frame | None = None) -> int:
         if int(dim) < 1:
             raise ValueError("block dimension must be >= 1")
         if frame is not None and frame.dim != dim:
             raise ValueError(f"frame of dimension {frame.dim} on a block of dimension {dim}")
+        self._admit(0, 0, sum(s * s for s in (frame.sizes if frame is not None else (int(dim),))))
         self.block_dims.append(int(dim))
         self.frames.append(frame)
         return len(self.block_dims) - 1
@@ -172,15 +175,21 @@ class SdpProblem:
         d = self._dim(k)
         return (d,) if self.frames[k] is None else self.frames[k].sizes
 
-    def _admit(self, rows: int, blocks, sense: str) -> None:
-        """Count ``rows`` more rows with coefficients on ``blocks``; reject the
-        program, before any of them is built, if it would pass MAX_PROGRAM_BYTES."""
-        per_row = sum(16 * s * s + (8 if s == 1 else 16 * s * s)
-                      for k in blocks for s in self.sub_blocks(k)) + (8 if sense != "==" else 0)
-        need = self.coefficient_bytes + rows * per_row
+    def _packed(self, k: int) -> int:
+        """The entries of block k's packed coefficients: sum s² over its sub-blocks."""
+        return sum(s * s for s in self.sub_blocks(k))
+
+    def _admit(self, rows: int, entries: int, columns: int) -> None:
+        """Count ``rows`` more rows holding ``entries`` packed entries here, and
+        ``columns`` more columns of the solver's copy (a block's packed
+        entries, or an inequality row's slack); reject the program, before
+        any of them is built, if it would pass MAX_PROGRAM_BYTES."""
+        held, m, width = self._held + entries, self._rows + rows, self._width + columns
+        need = 16 * (held + m * width)
         if need > MAX_PROGRAM_BYTES:
             raise ValueError(f"the program needs {need / 2**30:.1f} GiB of constraint "
                              f"coefficients, over the {MAX_PROGRAM_BYTES / 2**30:.0f} GiB limit")
+        self._held, self._rows, self._width = held, m, width
         self.coefficient_bytes = need
 
     def _check_coeff(self, k: int, a) -> np.ndarray:
@@ -199,7 +208,7 @@ class SdpProblem:
             raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
         if not coeffs:
             raise ValueError("constraint must touch at least one block")
-        self._admit(1, coeffs, sense)
+        self._admit(1, sum(self._packed(k) for k in coeffs), int(sense != "=="))
         self._append(coeffs, rhs, sense)
 
     def _append(self, coeffs: dict[int, np.ndarray], rhs: float, sense: str) -> None:
@@ -219,7 +228,7 @@ class SdpProblem:
         """
         if not terms:
             raise ValueError("constraint must touch at least one block")
-        self._admit(len(basis), terms, "==")
+        self._admit(len(basis), len(basis) * sum(self._packed(k) for k in terms), 0)
         for h in basis:
             self._append({k: adj(h) for k, adj in terms.items()}, 0.0, "==")
 

@@ -130,7 +130,7 @@ def _held_bytes(prob: sdp.SdpProblem) -> int:
     """Coefficient bytes held during a solve: the problem's rows and the solver's stacks."""
     form = sdp.solver._StandardForm(prob)
     return (sum(a.nbytes for con in prob.constraints for a in con.coeffs.values())
-            + sum(a.nbytes for a in form.A + form.vA))
+            + sum(a.nbytes for a in form.A))
 
 
 _PROGRAMS = {
@@ -179,12 +179,16 @@ class TestProgramLimits:
             assert prob.coefficient_bytes == _held_bytes(prob)
 
     @pytest.mark.parametrize("cls,count", [
-        # per R row: 32·(10² + 6²) bytes on each AB block, 32·3² + 24 on the
-        # adversary's block (sub-blocks 3 and 1) and 24 on the acceptance block;
-        # the lambda row adds 8 for its slack, and each of the 10 rho_ref rows
-        # touches the caps, the rho_ref block (3 and 1) and the trace block
-        (TestClass.ALL, 136 * (2 * 4352 + 312 + 24) + (312 + 8) + 10 * (4352 + 312 + 24)),
-        (TestClass.PPT, 136 * (4 * 4352 + 312 + 24) + (312 + 8) + 10 * (2 * 4352 + 312 + 24))])
+        # the problem's rows, 16 bytes per packed entry: each of the 136 R rows
+        # on the AB blocks (10² + 6² entries each), the adversary's block
+        # (3² + 1) and the acceptance block, the lambda row on the adversary's
+        # block, and each of the 10 rho_ref rows on the caps, the rho_ref
+        # block (3² + 1) and the trace block; the solver's copy, 16 bytes per
+        # row and entry: 147 rows on every block's entries and the lambda slack
+        (TestClass.ALL, 16 * (136 * (2 * 136 + 11) + 10 + 10 * (136 + 11))
+         + 16 * 147 * (2 * 136 + 2 * 11 + 1)),
+        (TestClass.PPT, 16 * (136 * (4 * 136 + 11) + 10 + 10 * (2 * 136 + 11))
+         + 16 * 147 * (4 * 136 + 2 * 11 + 1))])
     def test_split_size_estimate_is_the_solver_storage(self, monkeypatch, cls, count):
         probs = []
         solve = bounds._solve
@@ -223,11 +227,14 @@ class TestProgramLimits:
 
     def test_four_optimised_uses_are_admitted(self, monkeypatch):
         # 3,876 invariant R rows on two 256 x 256 blocks, each split into
-        # sub-blocks of 45, 45, 45, 35, 20, 20, 15, 15, 15 and 1: 32·8,775 + 24
-        # bytes a row per block; the adversary's 16 x 16 block splits into 5, 3,
-        # 3, 3, 1 and 1 (32·52 + 2·24), and the 35 rho_ref rows touch the cap,
-        # the rho_ref block (split as the adversary's) and the trace block.
-        # About 2.0 GiB: admitted, with no operator row built
+        # sub-blocks of 45, 45, 45, 35, 20, 20, 15, 15, 15 and 1 (8,776 packed
+        # entries), the adversary's 16 x 16 block, split into 5, 3, 3, 3, 1
+        # and 1 (54 entries), and the acceptance block; the lambda row on the
+        # adversary's block; and 35 rho_ref rows on the cap, the rho_ref block
+        # (split as the adversary's) and the trace block. The problem keeps
+        # 16 bytes per packed entry of each row, the solver 16 per row and
+        # entry over all 3,912 rows, the lambda slack included. About
+        # 2.05 GiB: admitted, with no operator row built
         class Admitted(Exception):
             pass
 
@@ -236,11 +243,12 @@ class TestProgramLimits:
 
         monkeypatch.setattr(sdp.problem.Basis, "__iter__", lambda basis: iter(()))
         monkeypatch.setattr(bounds, "_solve", stop)
-        ab, b = 32 * 8775 + 24, 32 * 52 + 2 * 24
+        ab, b = 8776, 54
         with pytest.raises(Admitted) as admitted:
             ea_bound_opt_rho(DEPOL, 0.05, TestClass.ALL, n=4)
         assert admitted.value.args[0] == \
-            3876 * (2 * ab + b + 24) + (b + 8) + 35 * (ab + b + 24)
+            16 * (3876 * (2 * ab + b + 1) + b + 35 * (ab + b + 1)) \
+            + 16 * (3876 + 1 + 35) * (2 * ab + 2 * (b + 1) + 1)
 
     # the PPT program has twice the AB blocks, about 4.1 GiB
     @pytest.mark.parametrize("cls", [TestClass.PPT])

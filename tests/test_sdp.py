@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import operator_equality, rand_classical_channel, rand_unitary
-from qconv import bounds, quantum
+from qconv import bounds, linalg, quantum
 from qconv.sdp import (SdpProblem, diagonal_basis, diagonal_frame, hermitian_basis,
                        invariant_basis, invariant_frame, solve, solver, verify)
-from qconv.sdp.solver import _inv_sqrt, _max_step, _nt_scaling, _schur, _StandardForm
+from qconv.sdp.solver import _eigh, _inv_sqrt, _max_step, _nt_scaling, _schur, _StandardForm
 
 
 def _scalar_lower_bound_problem():
@@ -339,27 +339,25 @@ class TestBases:
         assert peak < 2**16
 
 
-# the 2 -> 3 channel of the sdp-small benchmark workload at seed 131 at
-# eps = 0.01293 (unrestricted class): asked for a relative gap of 1e-12, the
-# solve meets the end-point contract at iterations 13 to 16, then drifts off
-# it until its steps collapse, so only the fallback can return an iterate
+# the 2 -> 3 channel 1 of the sdp-small benchmark workload at seed 100 at
+# eps = 0.01655 (unrestricted class): asked for a relative gap of 1e-12, the
+# solve meets the end-point contract for a few iterations from the twelfth,
+# then drifts off it until its steps collapse, so only the fallback can
+# return an iterate
 STALL_KRAUS = [
-    [[-0.22105609532288906 - 0.08623908549992401j, -0.24459242525814434 - 0.10498056926022814j],
-     [-0.33886615511478146 + 0.09364736185012731j, -0.28445136321310704 + 0.029987498573099014j],
-     [0.01864282516013949 - 0.08691541783144865j, 0.1583403152084548 + 0.09495027572993853j]],
-    [[-0.08597268623727587 + 0.04052182703473418j, 0.37450520397576553 + 0.1349965817030086j],
-     [0.02996688115390055 + 0.442690829239721j, 0.20814799021529304 - 0.08467194830268153j],
-     [-0.3327259199506475 + 0.39874932926765355j, 0.35510174143976475 + 0.005963016855227238j]],
-    [[-0.10173213484781957 - 0.3574493189775672j, -0.059485946736576964 - 0.09109951043051749j],
-     [-0.09752975775815276 + 0.0570371377685144j, -0.405296483088527 + 0.06398307437976804j],
-     [0.4015923086243733 - 0.15626865879632357j, 0.049504999659320634 + 0.5436001440912438j]]]
+    [[-0.5253957294720843 + 0.06368173281196977j, 0.1987650970195828 - 0.41167950942366166j],
+     [0.21216723854165526 + 0.2589838188394622j, -0.2199888497585607 + 0.5649737650293027j],
+     [0.04012738913742688 + 0.3788309125667086j, 0.3243592901627042 - 0.09253854479146398j]],
+    [[-0.490172382279361 + 0.2767514299072596j, 0.07968061242322366 + 0.29734892771467897j],
+     [0.14662850433854252 + 0.222482944215572j, -0.14174365883904053 - 0.009943127130329526j],
+     [-0.06058412153996236 + 0.2667658304826405j, 0.38753205274642255 + 0.21098111251427215j]]]
 
 
 class TestLastContractIterate:
     def test_stalled_solve_returns_last_contract_iterate(self, monkeypatch):
         chan = quantum.QuantumChannel([np.array(k) for k in STALL_KRAUS], atol=1e-8)
         rho = quantum.maximally_mixed(2)
-        eps = 0.01293
+        eps = 0.01655
         prob = bounds._ea_problem((2, 3), lambda: chan.choi, eps, bounds.TestClass.ALL,
                                   lambda: rho.mat.T, hermitian_basis(6))
         met = []
@@ -433,12 +431,23 @@ def _classical_program(p=None):
                               diagonal_frame(3))
 
 
-def _dense_constraints(prob, sf):
-    """Per dense and vector block of the solver, in its order, the (m, d, d)
-    tensor of every row's coefficient, zero where the row does not touch the
-    block, cut from the problem's packed coefficients at the block's offsets;
-    inequality rows get their 1x1 slack blocks after the problem's own, as
-    the solver orders them."""
+def _members(prob):
+    """Every sub-block of the program as the solver orders it, (size, block,
+    offset in the block's packed coefficients): the problem's blocks, then a
+    1x1 slack block for each inequality row."""
+    out = []
+    for k in range(len(prob.block_dims)):
+        sizes = prob.sub_blocks(k)
+        out += [(s, k, off) for s, off in zip(sizes, np.cumsum([0, *(s * s for s in sizes)]))]
+    slacks = sum(con.sense != "==" for con in prob.constraints)
+    return out + [(1, len(prob.block_dims) + j, 0) for j in range(slacks)]
+
+
+def _dense_constraints(prob):
+    """Per stack, in order of first size, the (m, N, s, s) tensor of every
+    row's coefficient on each of its N members, zero where the row does not
+    touch the member, cut from the problem's packed coefficients at the
+    member's offset; an inequality row's slack coefficient is ±1."""
     m = len(prob.constraints)
     packed = [np.zeros((m, sum(s * s for s in prob.sub_blocks(k))), dtype=complex)
               for k in range(len(prob.block_dims))]
@@ -446,27 +455,12 @@ def _dense_constraints(prob, sf):
         for k, a in con.coeffs.items():
             packed[k][i] = a.reshape(-1)
         if con.sense != "==":
-            packed.append(np.zeros((m, 1)))
+            packed.append(np.zeros((m, 1), dtype=complex))
             packed[-1][i] = 1.0 if con.sense == "<=" else -1.0
-    dense = []
-    for (vector, _), k, off, (d, *_) in zip(sf.layout, sf.block_of, sf.offsets, sf.blocks()):
-        if vector:
-            dense.append(np.array([np.diag(row[off]) for row in packed[k]]))
-        else:
-            dense.append(packed[k][:, off:off + d * d].reshape(m, d, d))
-    return dense
-
-
-def _split(sf, blocks):
-    """Per-block matrices, in the problem's order, as the solver's dense
-    stacks and vector."""
-    dense, vec = [], np.zeros(sf.c.size)
-    for (vector, j), x in zip(sf.layout, blocks):
-        if vector:
-            vec[sf.slices[j]] = np.diagonal(x).real
-        else:
-            dense.append(x)
-    return sf.stacks(dense), vec
+    stacks: dict[int, list[np.ndarray]] = {}
+    for s, k, off in _members(prob):
+        stacks.setdefault(s, []).append(packed[k][:, off:off + s * s].reshape(m, s, s))
+    return [np.stack(members, axis=1) for members in stacks.values()]
 
 
 def _random_hermitian(rng, d, definite=False):
@@ -474,81 +468,75 @@ def _random_hermitian(rng, d, definite=False):
     return g @ g.conj().T + 0.5 * np.eye(d) if definite else (g + g.conj().T) / 2
 
 
+def _random_stacks(rng, sf, definite=False):
+    return [np.stack([_random_hermitian(rng, s, definite) for _ in k])
+            for k, s in zip(sf.block_of, sf.sizes)]
+
+
+def _dense_schur(dense, W):
+    """sum_k Re<A_ik, W_k A_jk W_k> member by member."""
+    m = dense[0].shape[0]
+    want = np.zeros((m, m))
+    for a, w in zip(dense, W):
+        for j in range(w.shape[0]):
+            wa = w[j] @ a[:, j] @ w[j]
+            want += np.real(a[:, j].conj().reshape(m, -1) @ wa.reshape(m, -1).T)
+    return want
+
+
 # the n = 2 PPT program, whose blocks split into dense and 1x1 sub-blocks,
-# and a program that is vector blocks only
+# and a program of 1x1 sub-blocks only
 _KERNEL_PROGRAMS = (_depol_ppt_program, _classical_program)
 
 
 class TestStandardFormKernels:
-    def test_vector_blocks(self):
+    def test_stack_layout(self):
         # the PPT program's 16 x 16 blocks split into 10 and 6, its 4 x 4 blocks
-        # into 3 and 1; the 1x1 sub-blocks of the adversary's and the rho_ref
-        # block, and the acceptance, trace and lambda-slack blocks, are vector
-        # blocks. Every classical block is one
-        # The dense sub-blocks are three stacks, one per size, and every row
-        # set is one run of rows, or two around the lambda row 136
-        sf = _StandardForm(_depol_ppt_program())
-        assert sf.dims == [10, 6, 10, 6, 3, 10, 6, 10, 6, 3] and sf.vdims == [1, 1, 1, 1, 1]
-        assert sf.block_of == [0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8]
-        assert sf.groups == [[0, 2, 5, 7], [1, 3, 6, 8], [4, 9]]
-        assert [c.shape for c in sf.C] == [(4, 10, 10), (4, 6, 6), (2, 3, 3)]
-        assert sf.member[4] == (2, 0) and sf.member[9] == (2, 1)
-        rows = [[(mi.start, mi.stop) for mi, _ in runs] for runs in sf.runs + sf.vruns]
-        assert {len(r) for r in rows} == {1, 2}
-        assert [(0, 136), (137, 147)] in rows
-        for runs, r in zip(sf.runs + sf.vruns, sf.rows + sf.vrows):
-            assert np.array_equal(np.concatenate([r[pi] for _, pi in runs]),
-                                  np.concatenate([np.arange(m.start, m.stop) for m, _ in runs]))
+        # into 3 and 1: one stack per size, in order of first appearance, and
+        # the 1x1 sub-blocks, the acceptance and trace blocks and the lambda
+        # slack in the s = 1 stack. Every row has a coefficient column on
+        # every member
+        prob = _depol_ppt_program()
+        sf = _StandardForm(prob)
+        assert sf.sizes == [10, 6, 3, 1]
+        assert [c.shape for c in sf.C] == [(4, 10, 10), (4, 6, 6), (2, 3, 3), (5, 1, 1)]
+        assert [a.shape for a in sf.A] == [(147, 400), (147, 144), (147, 18), (147, 5)]
+        assert [k.tolist() for k in sf.block_of] == [[0, 1, 4, 5], [0, 1, 4, 5], [2, 6],
+                                                     [2, 3, 6, 7, 8]]
+        assert sf.block_dims == [16, 16, 4, 1, 16, 16, 4, 1, 1]
+        # every classical block is diagonal: a single stack of 1x1 members
         sf = _StandardForm(_classical_program())
-        assert sf.dims == [] and sf.vdims == [9, 9, 3, 1, 3, 1, 1]
-        assert sf.C == [] and sf.groups == []
-        assert [a.shape for a in sf.vA] == [(9, 9), (12, 9), (10, 3), (9, 1), (3, 3), (3, 1),
-                                            (1, 1)]
+        assert sf.sizes == [1]
+        assert sf.block_of[0].tolist() == [0] * 9 + [1] * 9 + [2] * 3 + [3] + [4] * 3 + [5, 6]
+        assert sf.A[0].shape == (13, 27) and sf.C[0].shape == (27, 1, 1)
 
     def test_schur_matches_dense_definition(self, rng):
         for program in _KERNEL_PROGRAMS:
             prob = program()
             sf = _StandardForm(prob)
-            dense = _dense_constraints(prob, sf)
-            # a vector block's scaling point is diagonal
-            W = [np.diag(rng.uniform(0.5, 2.0, size=d)).astype(complex) if vector
-                 else _random_hermitian(rng, d, definite=True)
-                 for (vector, _), (d, *_) in zip(sf.layout, sf.blocks())]
-            want = np.zeros((sf.m, sf.m))
-            for a, w in zip(dense, W):
-                wa = w @ a @ w
-                want += np.real(a.conj().reshape(sf.m, -1) @ wa.reshape(sf.m, -1).T)
-            got = _schur(sf, *_split(sf, W))
+            W = _random_stacks(rng, sf, definite=True)
+            want = _dense_schur(_dense_constraints(prob), W)
+            got = _schur(sf, W)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_schur_equals_index_scatter(self, rng):
-        # each block's product added into M[np.ix_(rows, rows)] in the
-        # problem's block order: the run-by-run assembly adds the same terms
-        # into every entry in the same order, so M is the same bit for bit
+    def test_schur_in_one_member_slices(self, rng, monkeypatch):
+        # a budget below any member's W A W takes each stack one member at a time
+        monkeypatch.setattr(solver, "SCHUR_SLICE_BYTES", 1)
         for program in _KERNEL_PROGRAMS:
-            sf = _StandardForm(program())
-            W = [np.diag(rng.uniform(0.5, 2.0, size=d)).astype(complex) if vector
-                 else _random_hermitian(rng, d, definite=True)
-                 for (vector, _), (d, *_) in zip(sf.layout, sf.blocks())]
-            stacks, w = _split(sf, W)
-            want = np.zeros((sf.m, sf.m))
-            for (vector, j), (d, rows, a, _), wk in zip(sf.layout, sf.blocks(), W):
-                if vector:
-                    wv = w[sf.slices[j]]
-                    want[np.ix_(rows, rows)] += a @ ((wv * a) * wv).T
-                else:
-                    bk = (wk @ a.reshape(len(rows), d, d) @ wk).reshape(len(rows), d * d)
-                    want[np.ix_(rows, rows)] += (a @ bk.conj().T).real
-            assert np.array_equal(_schur(sf, stacks, w), 0.5 * (want + want.T))
+            prob = program()
+            sf = _StandardForm(prob)
+            W = _random_stacks(rng, sf, definite=True)
+            want = _dense_schur(_dense_constraints(prob), W)
+            got = _schur(sf, W)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stacked_kernels_equal_one_member_stacks(self, rng):
         # NT scaling, inverse square roots and the step length of a stack of
         # sub-blocks are exactly those of each sub-block alone; one member is
         # far smaller than the rest, so a floor taken over the whole stack
         # would clamp its eigenvalues
-        no_vector = np.zeros(0)
         ih, dX = [], []
-        for d in (3, 6, 10):
+        for d in (1, 3, 6, 10):
             X, S, D = (np.stack([_random_hermitian(rng, d, definite) for _ in range(4)])
                        for definite in (True, True, False))
             X[2] *= 1e-18
@@ -560,37 +548,39 @@ class TestStandardFormKernels:
             dX.append(D)
             for i in range(4):
                 assert np.array_equal(ih[-1][i:i + 1], _inv_sqrt(X[i:i + 1].copy()))
-        step = _max_step(ih, dX, no_vector, no_vector)
+        step = _max_step(ih, dX)
         assert np.isfinite(step)
-        assert step == min(_max_step([x[i:i + 1].copy()], [d[i:i + 1].copy()], no_vector, no_vector)
+        assert step == min(_max_step([x[i:i + 1].copy()], [d[i:i + 1].copy()])
                            for x, d in zip(ih, dX) for i in range(4))
+
+    def test_eigh_of_1x1_members_is_numpys(self, rng):
+        for n in (1, 7, 300):
+            x = rng.normal(size=(n, 1, 1)) + 1j * rng.normal(size=(n, 1, 1))
+            x = linalg.hermitian_part(x)
+            w, v = _eigh(x)
+            want_w, want_v = np.linalg.eigh(x)
+            assert w.dtype == want_w.dtype and v.dtype == want_v.dtype
+            assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+            assert np.array_equal(_eigh(x, vectors=False), np.linalg.eigvalsh(x))
 
     def test_apply_and_adjoint(self, rng):
         for program in _KERNEL_PROGRAMS:
             prob = program()
             sf = _StandardForm(prob)
-            dense = _dense_constraints(prob, sf)
-            X = [_random_hermitian(rng, d) for d, *_ in sf.blocks()]
+            dense = _dense_constraints(prob)
+            X = _random_stacks(rng, sf)
             y = rng.normal(size=sf.m)
-            a_x = sf.apply(*_split(sf, X))
-            assert_allclose(a_x, sum(np.einsum("iab,ab->i", a.conj(), x).real
-                                     for a, x in zip(dense, X)), rtol=0, atol=1e-12)
-            # the dense definition of A*(y), diagonal on every vector block
-            want = [np.einsum("i,iab->ab", y, a) for a in dense]
-            for (vector, _), w in zip(sf.layout, want):
-                assert not vector or np.count_nonzero(w - np.diag(np.diagonal(w))) == 0
-            got_dense, got_vec = sf.adjoint(y)
-            want_dense, want_vec = _split(sf, want)
-            for g, w in zip(got_dense, want_dense):
-                assert_allclose(g, w, rtol=0, atol=1e-12)
-            assert_allclose(got_vec, want_vec, rtol=0, atol=1e-12)
+            assert_allclose(sf.apply(X), sum(np.einsum("injk,njk->i", a.conj(), x).real
+                                             for a, x in zip(dense, X)), rtol=0, atol=1e-12)
+            for got, a in zip(sf.adjoint(y), dense, strict=True):
+                assert_allclose(got, np.einsum("i,injk->njk", y, a), rtol=0, atol=1e-12)
 
 
 class TestVectorBlocks:
     def test_rotated_block_is_dense_with_the_same_optimum(self):
         # conjugating one diagonal block's objective and coefficients by a
         # unitary maps its PSD cone onto itself, so the optimum stays; the
-        # block is then solved dense, the rest of the program as vectors
+        # block is then solved dense, the rest of the program as 1x1 members
         prob = _classical_program(p=np.array([0.2, 0.3, 0.5]))
         u = rand_unitary(np.random.default_rng(5), 9)
 
@@ -606,16 +596,16 @@ class TestVectorBlocks:
         for con in prob.constraints:
             rotated.add_constraint({k: rotate(k, a) for k, a in con.coeffs.items()},
                                    con.rhs, con.sense)
-        assert _StandardForm(prob).dims == []
-        assert _StandardForm(rotated).dims == [9]
+        assert _StandardForm(prob).sizes == [1]
+        assert _StandardForm(rotated).sizes == [1, 9]
         sol, sol_rot = solve(prob), solve(rotated)
         assert sol.status == sol_rot.status == "optimal"
         assert sol_rot.primal_objective == pytest.approx(sol.primal_objective, rel=1e-7)
         assert sol_rot.dual_objective == pytest.approx(sol.dual_objective, rel=1e-7)
 
     def test_one_off_diagonal_coefficient_keeps_a_block_dense(self):
-        # a block is a vector block when it is declared with the frame of 1x1
-        # blocks, which rejects an off-diagonal coefficient
+        # a block is split into 1x1 members when it is declared with the frame
+        # of 1x1 blocks, which rejects an off-diagonal coefficient
         off = np.zeros((3, 3))
         off[0, 2] = off[2, 0] = 0.5
         framed = SdpProblem([3, 3], [diagonal_frame(3), None])
@@ -627,8 +617,7 @@ class TestVectorBlocks:
         prob.add_constraint({0: np.eye(3), 1: np.diag([1.0, 0.0, 0.0])}, 1.0)
         prob.add_constraint({0: np.diag([0.0, 1.0, 0.0]) + off, 1: np.eye(3)}, 0.2)
         sf = _StandardForm(prob)
-        assert sf.layout == [(False, 0), (True, 0)]
-        assert sf.dims == [3] and sf.vdims == [3]
+        assert sf.sizes == [3, 1] and [k.tolist() for k in sf.block_of] == [[0], [1, 1, 1]]
         sol = solve(prob)
         assert sol.status == "optimal"
         assert np.count_nonzero(sol.primal_blocks[1] - np.diag(np.diagonal(sol.primal_blocks[1]))) == 0
@@ -650,19 +639,43 @@ class TestSizeGuard:
         assert peak < 16 * 64 * 64
         assert prob.constraints == [] and prob.coefficient_bytes == 0
 
-    def test_count_is_the_bytes_held(self):
-        # 4 equality rows on blocks of 2 and 3, 32 bytes per entry, and on a 1x1
-        # block, 16 bytes here and 8 in the solver's vector; a "<=" and a ">="
-        # row, each of which also gets an 8-byte 1x1 slack coefficient in the solver
+    @staticmethod
+    def _program():
+        # 4 equality rows on blocks of 2 and 3 and on a 1x1 block, and a "<="
+        # and a ">=" row, each of which gets a 1x1 slack in the solver
         prob = SdpProblem([2, 3, 1])
         prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1)),
                                     2: lambda h: np.real(np.trace(h)) * np.eye(1)},
                                    hermitian_basis(2))
         prob.add_constraint({0: np.eye(2)}, 1.0, "<=")
         prob.add_constraint({1: np.eye(3)}, 0.5, ">=")
+        return prob
+
+    @staticmethod
+    def _held(prob):
         sf = _StandardForm(prob)
-        held = (sum(a.nbytes for con in prob.constraints for a in con.coeffs.values())
-                + sum(a.nbytes for a in sf.A + sf.vA))
-        assert len(sf.A) == 2 and len(sf.vA) == 3
-        assert prob.coefficient_bytes == held == \
-            4 * (32 * 13 + 24) + (32 * 4 + 8) + (32 * 9 + 8)
+        return (sum(a.nbytes for con in prob.constraints for a in con.coeffs.values())
+                + sum(a.nbytes for a in sf.A))
+
+    def test_count_is_the_bytes_held(self):
+        # 16 bytes per entry here: 4 rows of 4 + 9 + 1 entries, then 4 and 9;
+        # 16 bytes per row and entry in the solver: 6 rows on 14 entries and
+        # 2 slacks
+        prob = self._program()
+        assert prob.coefficient_bytes == self._held(prob) == \
+            16 * (4 * 14 + 4 + 9) + 16 * 6 * (14 + 2)
+
+    def test_block_added_after_rows_is_counted(self, monkeypatch):
+        # a block added after the rows costs the solver a column per row and
+        # entry: 16 * 6 * 4 bytes for a 2 x 2 block
+        prob = self._program()
+        need = prob.coefficient_bytes + 16 * 6 * 4
+        prob.add_block(2)
+        assert prob.coefficient_bytes == self._held(prob) == need
+        monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", need)
+        self._program().add_block(2)
+        monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", need - 1)
+        prob = self._program()
+        with pytest.raises(ValueError, match="GiB"):
+            prob.add_block(2)
+        assert prob.block_dims == [2, 3, 1] and prob.coefficient_bytes == need - 16 * 6 * 4
