@@ -449,9 +449,6 @@ def _classical_converse(w: np.ndarray, eps_list: list[float],
                         p: np.ndarray | None) -> list[BoundResult]:
     """``classical_converse`` of a checked channel matrix at each eps."""
     nb, na = w.shape
-    for eps in eps_list:
-        if not 0.0 <= eps < 1.0:
-            raise ValueError(f"eps must be in [0, 1), got {eps}")
     if p is None:
         results = _ea_bound((na, nb), lambda: _embedding_choi(w), eps_list, TestClass.ALL, None,
                             sdp.diagonal_basis(na * nb), sdp.diagonal_basis(na),

@@ -17,15 +17,20 @@ So a split solve follows the central path of the unsplit one.
 
 The sub-blocks of one size s are one stack of N members, in the problem's
 order, slacks last; every 1x1 block, 1x1 sub-block and slack is a member
-of the s = 1 stack. A stack's objective and iterates, the scaling point W,
-G = W^(1/2), G^-1 and the scaled variable V are (N, s, s) arrays, and
-every row's coefficients on it are one complex matrix A of shape
-(m, N s²), zero where the row does not touch a member. So A(X), A*(y), NT
-scaling, the inverse square roots, the step length, the corrector, the
-Newton directions and the iterate update take one numpy call per stack.
-numpy rounds each member of a stacked product or eigendecomposition as it
-would the matrix alone. Each stack is eigendecomposed once per iteration
-for all the powers taken of it.
+of the s = 1 stack. A stack's objective, iterates, scaling point W and
+scaling factor G are (N, s, s) arrays, and every row's coefficients on it
+are one complex matrix A of shape (m, N s²), zero where the row does not
+touch a member. So A(X), A*(y), NT scaling, the step length, the
+corrector, the Newton directions and the iterate update take one numpy
+call per stack. numpy rounds each member of a stacked product or
+eigendecomposition as it would the matrix alone.
+
+NT scaling eigendecomposes S and S^(1/2) X S^(1/2) = Q diag(d)² Q^H once
+per iteration. G = S^(-1/2) Q diag(d)^(1/2) has G G^H = W, where W S W = X,
+and makes the scaled variable diagonal, G^H S G = G^-1 X G^-H = diag(d);
+any factor of W gives the same NT direction (Todd, Toh & Tütüncü, SIAM J.
+Optim. 1998). So the step lengths are taken on scaled directions, and the
+corrector's Lyapunov equation is solved entry by entry.
 
 The Schur matrix M_ij = sum_k Re<A_ik, W_k A_jk W_k> is the sum over the
 stacks of Re(A · conj(W A W)ᵀ), taken over slices of each stack's members.
@@ -177,29 +182,18 @@ def _eigh_clamped(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(w, floor), v
 
 
-def _powers(x: np.ndarray, *ps: float) -> list[np.ndarray]:
-    """x**p of each member for each p, from one eigendecomposition of x."""
-    w, v = _eigh_clamped(x)
-    return [linalg.hermitian_part((v * (w**p)[..., None, :]) @ _ct(v)) for p in ps]
-
-
-def _inv_sqrt(x: np.ndarray) -> np.ndarray:
-    w, v = _eigh_clamped(x)
-    return (v * (w**-0.5)[..., None, :]) @ _ct(v)
-
-
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """NT scaling point W with W S W = X, plus G = W^(1/2) and the scaled
-    variable V = G S G (= G^-1 X G^-1) with its eigendecomposition, of each
-    member of a stack."""
-    s_half, s_inv_half = _powers(s, 0.5, -0.5)
-    inner = linalg.hermitian_part(s_half @ x @ s_half)
-    (inner_half,) = _powers(inner, 0.5)
-    w_mat = linalg.hermitian_part(s_inv_half @ inner_half @ s_inv_half)
-    g, g_inv = _powers(w_mat, 0.5, -0.5)
-    v_mat = linalg.hermitian_part(g @ s @ g)
-    v_eigs, v_vecs = _eigh_clamped(v_mat)
-    return w_mat, g, g_inv, v_eigs, v_vecs
+    """(W, G, G^-1, d) of each member of a stack, as the module docstring
+    sets them out."""
+    ws, vs = _eigh_clamped(s)
+    s_half, s_inv_half = (linalg.hermitian_part((vs * (ws**p)[..., None, :]) @ _ct(vs))
+                          for p in (0.5, -0.5))
+    d2, q = _eigh_clamped(s_half @ x @ s_half)
+    d = np.sqrt(d2)
+    root = np.sqrt(d)
+    g = s_inv_half @ q * root[..., None, :]
+    g_inv = (_ct(q) @ s_half) / root[..., :, None]
+    return linalg.hermitian_part(g @ _ct(g)), g, g_inv, d
 
 
 def _schur(sf: _StandardForm, W: list[np.ndarray]) -> np.ndarray:
@@ -246,11 +240,14 @@ def _meets_contract(residuals: dict) -> bool:
             and residuals["relative_gap"] <= 1e-7)
 
 
-def _max_step(X_ih: list[np.ndarray], dX: list[np.ndarray]) -> float:
-    """Largest alpha with X + alpha dX >= 0 on every member (X > 0), given
-    X^(-1/2) as stacks."""
-    lam_min = min(float(_eigh(linalg.hermitian_part(xi @ d @ _ct(xi)), vectors=False).min())
-                  for xi, d in zip(X_ih, dX))
+def _max_step(d: list[np.ndarray], dV: list[np.ndarray]) -> float:
+    """Largest alpha with diag(d) + alpha dV >= 0 on every member (d > 0):
+    -1 over the least eigenvalue of diag(d)^(-1/2) dV diag(d)^(-1/2)."""
+    lam_min = np.inf
+    for dk, dv in zip(d, dV):
+        r = dk**-0.5
+        scaled = linalg.hermitian_part(r[..., :, None] * dv * r[..., None, :])
+        lam_min = min(lam_min, float(_eigh(scaled, vectors=False).min()))
     if lam_min >= -1e-14:
         return np.inf
     return -1.0 / lam_min
@@ -325,8 +322,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "dual-infeasible"
             break
 
-        scalings = [_nt_scaling(xk, sk) for xk, sk in zip(X, S)]
-        W = [sc[0] for sc in scalings]
+        W, G, G_inv, D = zip(*(_nt_scaling(xk, sk) for xk, sk in zip(X, S)))
         M = _schur(sf, W)
         a_of_h = sf.apply([wk @ r @ wk for wk, r in zip(W, Rd)])
 
@@ -338,33 +334,36 @@ def solve(problem: SdpProblem) -> SdpSolution:
                   for rck, wk, ds in zip(Rc, W, dS)]
             return dX, [linalg.hermitian_part(d) for d in dS], dy
 
+        def scaled(dX, dS):
+            """G^-1 dX G^-H and G^H dS G: the directions in the scaled space."""
+            return ([gi @ dx @ _ct(gi) for gi, dx in zip(G_inv, dX)],
+                    [_ct(g) @ ds @ g for g, ds in zip(G, dS)])
+
         # predictor (affine scaling direction)
         dX_a, dS_a, _ = newton([-xk for xk in X])
-        X_ih, S_ih = [_inv_sqrt(xk) for xk in X], [_inv_sqrt(sk) for sk in S]
-        ap_aff = min(1.0, _max_step(X_ih, dX_a))
-        ad_aff = min(1.0, _max_step(S_ih, dS_a))
+        dx_hat, ds_hat = scaled(dX_a, dS_a)
+        ap_aff = min(1.0, _max_step(D, dx_hat))
+        ad_aff = min(1.0, _max_step(D, ds_hat))
         mu_aff = _inner([xk + ap_aff * dx for xk, dx in zip(X, dX_a)],
                         [sk + ad_aff * ds for sk, ds in zip(S, dS_a)]) / n_total
         sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-10), 1.0) if mu > 0 else 0.1
 
         # corrector: target sigma*mu on the central path plus the Mehrotra
-        # second-order term, mapped back through the NT scaling
+        # second-order term. The scaled variable is diag(d), so its Lyapunov
+        # equation is solved entry by entry; mapped back as G zp G^H
         Rc = []
-        for (_, gk, gk_inv, v_eigs, v_vecs), dx, ds in zip(scalings, dX_a, dS_a):
-            dx_hat = gk_inv @ dx @ gk_inv
-            ds_hat = gk @ ds @ gk
-            corr = 0.5 * (dx_hat @ ds_hat + ds_hat @ dx_hat)
-            diag = np.arange(gk.shape[-1])
-            target = sigma * mu * np.eye(diag.size) - corr
-            zp = _ct(v_vecs) @ target @ v_vecs
-            zp = 2.0 * zp / (v_eigs[..., :, None] + v_eigs[..., None, :])
-            zp[..., diag, diag] -= v_eigs  # the -V part of -V^2
-            rc_hat = v_vecs @ zp @ _ct(v_vecs)
-            Rc.append(linalg.hermitian_part(gk @ rc_hat @ gk))
+        for gk, dk, dx, ds in zip(G, D, dx_hat, ds_hat):
+            diag = np.arange(dk.shape[-1])
+            zp = -0.5 * (dx @ ds + ds @ dx)
+            zp[..., diag, diag] += sigma * mu
+            zp = 2.0 * zp / (dk[..., :, None] + dk[..., None, :])
+            zp[..., diag, diag] -= dk  # the -V part of -V^2
+            Rc.append(linalg.hermitian_part(gk @ zp @ _ct(gk)))
         dX, dS, dy = newton(Rc)
 
-        ap = min(1.0, STEP_FRACTION * _max_step(X_ih, dX))
-        ad = min(1.0, STEP_FRACTION * _max_step(S_ih, dS))
+        dx_hat, ds_hat = scaled(dX, dS)
+        ap = min(1.0, STEP_FRACTION * _max_step(D, dx_hat))
+        ad = min(1.0, STEP_FRACTION * _max_step(D, ds_hat))
         if not np.isfinite(ap) or not np.isfinite(ad) or ap < 1e-10 or ad < 1e-10:
             break
         X = [linalg.hermitian_part(xk + ap * d) for xk, d in zip(X, dX)]

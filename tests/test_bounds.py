@@ -623,6 +623,8 @@ class TestEpsGrids:
             ea_bound_opt_rho(DEPOL, [0.05, 1.0 - 1e-10])
         with pytest.raises(ValueError, match="eps must be in"):
             classical_converse(np.eye(2), [0.05, 1.0])
+        with pytest.raises(ValueError, match="eps must be in"):
+            classical_converse(np.eye(2), [0.05, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="at least one eps"):
             ea_bound(DEPOL, None, [])
         assert built == []
