@@ -147,9 +147,11 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     is C_k - sum_i y_i A_ik; no block has rows of its own. ``dims`` are
     the input and output dimensions; ``choi()`` returns the channel's
     Choi matrix and ``rho_ref()``, unless ``rho_ref`` is None, the fixed
-    reference state. The R rows are declared first, so that a program
-    over ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected before either is
-    called or any coefficient is built.
+    reference state. Every block is declared before any row, and the R
+    rows are the first rows, so that a program over
+    ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected before either is called
+    or any coefficient is built. The lambda row's slack is then the last
+    block.
 
     The blocks in R (R >= 0, R <= rho_ref ⊗ I and both PPT blocks) are
     declared with ``r_basis.frame``, the rho_ref block with
@@ -177,6 +179,10 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
         caps.append(ppt_cap)
         r_terms[ppt] = lambda h: -linalg.partial_transpose(h, (da, db), "b")
         r_terms[ppt_cap] = lambda h: linalg.partial_transpose(h, (da, db), "b")
+    if rho_ref is None:
+        # rho_ref >= 0 and 1 - Tr rho_ref >= 0; Tr rho_ref <= 1 has the same
+        # optimum as Tr rho_ref = 1, since a larger rho_ref only loosens the caps
+        rho, trace = prob.add_block(da, rho_basis.frame), prob.add_block(1)
     prob.add_operator_equality(r_terms, r_basis)
     eye_b = np.eye(db, dtype=complex)
     prob.set_objective(_ACC, [[-(1.0 - eps)]])
@@ -186,9 +192,6 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     # the lambda row, y = -lambda: "<=" keeps lambda >= 0, and Tr G <= 1 on the primal side
     prob.add_constraint({_G: eye_b}, 1.0, "<=")
     if rho_ref is None:
-        # rho_ref >= 0 and 1 - Tr rho_ref >= 0; Tr rho_ref <= 1 has the same
-        # optimum as Tr rho_ref = 1, since a larger rho_ref only loosens the caps
-        rho, trace = prob.add_block(da, rho_basis.frame), prob.add_block(1)
         rho_terms = {k: (lambda g: -np.kron(g, eye_b)) for k in caps}
         rho_terms[rho] = lambda g: -g
         rho_terms[trace] = lambda g: np.real(np.trace(g)) * np.eye(1)
@@ -432,6 +435,11 @@ def classical_converse(w: np.ndarray, eps: float | Sequence[float],
     ``eps`` is one value or a sequence, as in ``ea_bound``: one program is
     built and solved once per eps, and ``diagnostics["wall_s"]`` adds the
     Neyman-Pearson test to the solve's.
+
+    An optimised input (``diagnostics["input_distribution"]`` and
+    ``optimal_rho``) is the interior-point estimate of the program's
+    optimum: where that optimum is flat it can move in its 4th digit
+    between builds whose beta differs by about 5e-12.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or not np.isfinite(w).all() or w.min() < -1e-12:

@@ -27,11 +27,13 @@ block-diagonal. The same symmetry that restricts the unknowns forces this
 structure (the Schur-Weyl decomposition for permutations of n uses, 1x1
 blocks for diagonal phases), and a block-diagonal linear matrix inequality
 holds exactly when each of its diagonal sub-blocks is PSD (Murota, Kanno,
-Kojima & Kojima, JJIAM 2010). Such a block keeps only those sub-blocks.
-Scalar inequality rows are converted to equalities with 1x1 slack blocks
-inside the solver, which stacks the sub-blocks of each size, 1x1 blocks,
-1x1 sub-blocks and slacks alike, and holds every row's coefficients on a
-stack as one dense matrix.
+Kojima & Kojima, JJIAM 2010). Such a block keeps only those sub-blocks; a
+block declared without a frame has the standard basis in one group, the
+whole block. A scalar inequality row declares its own 1x1 slack block and
+is stored as an equality on it, so the blocks and rows a problem holds are
+the ones the solver solves. The solver stacks the sub-blocks of each size,
+1x1 blocks and 1x1 sub-blocks alike, and holds every row's coefficients on
+a stack as one dense matrix.
 
 A problem counts, as its rows are declared, the coefficient bytes it will
 hold during a solve, and rejects rows that would take the program over
@@ -55,10 +57,10 @@ MAX_PROGRAM_BYTES = 4 * 2**30  # admits the three-use qubit programs, both class
 
 @dataclass
 class LinearConstraint:
-    """One scalar constraint: sum over blocks of <coeff, X_block> sense rhs.
-
-    A coefficient on a framed block is its packed sub-blocks (``Frame.pack``);
-    on any other block it is the d x d matrix."""
+    """One scalar row: sum over blocks of <coeff, X_block> = rhs, each
+    coefficient packed in its block's frame (``Frame.pack``). A problem
+    stores every row as an equality; an inequality's slack is a block of
+    the row."""
 
     coeffs: dict[int, np.ndarray]
     rhs: float
@@ -73,15 +75,17 @@ class Frame:
     columns, in which every coefficient of a block is block-diagonal.
 
     ``pack(a)`` keeps the sub-blocks U_iᵀ a U_i, flattened one after another
-    into sum(s²) entries; ``unpack`` maps such a vector back to
+    into ``entries`` = sum(s²) entries; ``unpack`` maps such a vector back to
     U (X_1 ⊕ ... ⊕ X_r) Uᵀ. ``build()`` returns U, real orthogonal, and is
     called on first use of ``unitary``; a frame without it is the standard
-    basis in 1x1 groups.
+    basis in its groups, so one group is a whole block and 1x1 groups are a
+    diagonal one.
     """
 
     def __init__(self, sizes: tuple[int, ...], build=None):
         self.sizes = tuple(int(s) for s in sizes)
         self.dim = sum(self.sizes)
+        self.entries = sum(s * s for s in self.sizes)
         self._build = build
 
     @functools.cached_property
@@ -92,12 +96,19 @@ class Frame:
         ends = np.cumsum([0, *self.sizes])
         return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
+    @functools.cached_property
+    def _index(self) -> np.ndarray:
+        """Where each packed entry sits in the flattened d x d matrix."""
+        every = np.arange(self.dim)
+        return np.concatenate([(every[c, None] * self.dim + every[c]).reshape(-1)
+                               for c in self._groups()])
+
     def pack(self, a: np.ndarray) -> np.ndarray:
         """The diagonal sub-blocks of Hermitian ``a`` in this frame, packed;
         raises if ``a`` has off-block mass above FRAME_RTOL of its norm."""
         u = self.unitary
         if u is None:
-            packed = np.diagonal(a).copy()
+            packed = a.reshape(-1)[self._index]
         else:
             # each sub-block sums the nonzero entries of a times the outer
             # products of rows of U: cheap for the orbit sums of a program
@@ -113,15 +124,11 @@ class Frame:
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """The d x d operator whose packed sub-blocks are ``packed``."""
+        x = np.zeros(self.dim * self.dim, dtype=complex)
+        x[self._index] = packed
+        x = x.reshape(self.dim, self.dim)
         u = self.unitary
-        if u is None:
-            return np.diag(packed).astype(complex)
-        x = np.zeros((self.dim, self.dim), dtype=complex)
-        start = 0
-        for c, s in zip(self._groups(), self.sizes):
-            x[c, c] = packed[start:start + s * s].reshape(s, s)
-            start += s * s
-        return u @ x @ u.T
+        return x if u is None else u @ x @ u.T
 
 
 def diagonal_frame(d: int) -> Frame:
@@ -132,58 +139,52 @@ def diagonal_frame(d: int) -> Frame:
 class SdpProblem:
     """Container and validator for a block-diagonal Hermitian SDP.
 
-    ``frames[k]`` is block k's ``Frame``, or None for a block kept whole.
+    ``frames[k]`` is block k's ``Frame``; a block declared without one gets
+    ``Frame((d,))``, the whole block. Every coefficient is stored packed in
+    its block's frame, and every row as an equality: an inequality row
+    declares its own 1x1 slack block.
+
     ``coefficient_bytes`` is what the declared rows will hold during a
-    solve, and it is exact. Each row keeps its own coefficient here: 16
-    bytes per entry of the packed sub-blocks on a framed block, or of the
-    d x d matrix on another. The solver keeps a second copy, dense over
-    every row and block: 16·m·(P + q) bytes for m rows, P packed entries
-    over all blocks (sum s² over their sub-blocks) and q inequality rows,
-    each of which gets a 1x1 slack. So a row costs the solver 16·(P + q)
-    bytes, and a block added after m rows 16·m·sum s².
+    solve, and it is exact. Each row keeps its own packed coefficients
+    here, 16 bytes per entry. The solver keeps a second copy, dense over
+    every row and block: 16·m·P bytes for m rows and P packed entries over
+    all blocks (sum s² over their sub-blocks). So a row costs the solver
+    16·P bytes, and a block added after m rows 16·m·sum s².
     """
 
     def __init__(self, block_dims: list[int], frames: list[Frame | None] | None = None):
         if not block_dims:
             raise ValueError(f"invalid block dimensions {block_dims}")
         self.block_dims: list[int] = []
-        self.frames: list[Frame | None] = []
+        self.frames: list[Frame] = []
         self.objective: dict[int, np.ndarray] = {}
         self.constraints: list[LinearConstraint] = []
         self.coefficient_bytes = 0
-        self._held = self._rows = self._width = 0  # the rows' own entries; m; P + q
+        self._held = self._rows = self._width = 0  # the rows' own entries; m; P
         for d, frame in zip(block_dims, frames or [None] * len(block_dims), strict=True):
             self.add_block(d, frame)
 
     def add_block(self, dim: int, frame: Frame | None = None) -> int:
         if int(dim) < 1:
             raise ValueError("block dimension must be >= 1")
-        if frame is not None and frame.dim != dim:
+        frame = Frame((int(dim),)) if frame is None else frame
+        if frame.dim != dim:
             raise ValueError(f"frame of dimension {frame.dim} on a block of dimension {dim}")
-        self._admit(0, 0, sum(s * s for s in (frame.sizes if frame is not None else (int(dim),))))
+        self._admit(0, 0, frame.entries)
         self.block_dims.append(int(dim))
         self.frames.append(frame)
         return len(self.block_dims) - 1
 
-    def _dim(self, k: int) -> int:
-        if not 0 <= k < len(self.block_dims):
+    def _frame(self, k: int) -> Frame:
+        if not 0 <= k < len(self.frames):
             raise ValueError(f"unknown block index {k}")
-        return self.block_dims[k]
-
-    def sub_blocks(self, k: int) -> tuple[int, ...]:
-        """The sizes of block k's diagonal sub-blocks: its frame's, or (d,)."""
-        d = self._dim(k)
-        return (d,) if self.frames[k] is None else self.frames[k].sizes
-
-    def _packed(self, k: int) -> int:
-        """The entries of block k's packed coefficients: sum s² over its sub-blocks."""
-        return sum(s * s for s in self.sub_blocks(k))
+        return self.frames[k]
 
     def _admit(self, rows: int, entries: int, columns: int) -> None:
         """Count ``rows`` more rows holding ``entries`` packed entries here, and
         ``columns`` more columns of the solver's copy (a block's packed
-        entries, or an inequality row's slack); reject the program, before
-        any of them is built, if it would pass MAX_PROGRAM_BYTES."""
+        entries); reject the program, before any of them is built, if it
+        would pass MAX_PROGRAM_BYTES."""
         held, m, width = self._held + entries, self._rows + rows, self._width + columns
         need = 16 * (held + m * width)
         if need > MAX_PROGRAM_BYTES:
@@ -193,27 +194,31 @@ class SdpProblem:
         self.coefficient_bytes = need
 
     def _check_coeff(self, k: int, a) -> np.ndarray:
-        d = self._dim(k)
+        frame = self._frame(k)
         a = np.atleast_2d(np.asarray(a, dtype=complex))
-        if a.shape != (d, d):
-            raise ValueError(f"coefficient shape {a.shape} does not match block dim {d}")
-        a = linalg.require_hermitian(a, rtol=1e-10)
-        return a if self.frames[k] is None else self.frames[k].pack(a)
+        if a.shape != (frame.dim, frame.dim):
+            raise ValueError(f"coefficient shape {a.shape} does not match block dim {frame.dim}")
+        return frame.pack(linalg.require_hermitian(a, rtol=1e-10))
 
     def set_objective(self, k: int, c) -> None:
         self.objective[k] = self._check_coeff(k, c)
 
     def add_constraint(self, coeffs: dict[int, np.ndarray], rhs: float, sense: str = "==") -> None:
+        """Add sum_k <coeffs[k], X_k> ``sense`` rhs. An inequality declares a
+        1x1 slack block s and is stored as the equality with +s ("<=") or
+        -s (">="); the row and the slack's column are admitted together."""
         if sense not in SENSES:
             raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
         if not coeffs:
             raise ValueError("constraint must touch at least one block")
-        self._admit(1, sum(self._packed(k) for k in coeffs), int(sense != "=="))
-        self._append(coeffs, rhs, sense)
-
-    def _append(self, coeffs: dict[int, np.ndarray], rhs: float, sense: str) -> None:
-        checked = {k: self._check_coeff(k, a) for k, a in coeffs.items()}
-        self.constraints.append(LinearConstraint(checked, float(rhs), sense))
+        packed = {k: self._check_coeff(k, a) for k, a in coeffs.items()}
+        slack = int(sense != "==")
+        self._admit(1, sum(a.size for a in packed.values()) + slack, slack)
+        if slack:
+            self.block_dims.append(1)
+            self.frames.append(Frame((1,)))
+            packed[len(self.frames) - 1] = np.array([1.0 if sense == "<=" else -1.0], complex)
+        self.constraints.append(LinearConstraint(packed, float(rhs)))
 
     def add_operator_equality(self, terms: dict[int, "callable"], basis: "Basis") -> None:
         """Add the operator equation sum_k L_k(X_k) = 0 on the span of ``basis``,
@@ -228,9 +233,10 @@ class SdpProblem:
         """
         if not terms:
             raise ValueError("constraint must touch at least one block")
-        self._admit(len(basis), len(basis) * sum(self._packed(k) for k in terms), 0)
+        self._admit(len(basis), len(basis) * sum(self._frame(k).entries for k in terms), 0)
         for h in basis:
-            self._append({k: adj(h) for k, adj in terms.items()}, 0.0, "==")
+            self.constraints.append(LinearConstraint(
+                {k: self._check_coeff(k, adj(h)) for k, adj in terms.items()}, 0.0))
 
 
 class Basis:
@@ -430,7 +436,6 @@ class SdpSolution:
 class VerifyReport:
     ok: bool
     max_equality_violation: float
-    max_inequality_violation: float
     min_block_eigenvalue: float
     relative_gap: float
     findings: list[str]
@@ -441,27 +446,18 @@ VERIFY_GAP_TOL = 1e-7  # relative duality gap above which verify flags an optima
 
 
 def verify(problem: SdpProblem, solution: SdpSolution) -> VerifyReport:
-    """Independently re-evaluate feasibility residuals and the duality gap."""
+    """Independently re-evaluate feasibility residuals and the duality gap.
+    Every row is an equality; an inequality's slack is a block of its row,
+    so the PSD check of that block covers the inequality."""
     findings: list[str] = []
     b_scale = 1.0 + max((abs(c.rhs) for c in problem.constraints), default=0.0)
     max_eq = 0.0
-    max_ineq = 0.0
-    # a framed block's coefficients are packed, so its primal block is too
-    primal = [x if frame is None else frame.pack(x)
-              for frame, x in zip(problem.frames, solution.primal_blocks)]
+    # the coefficients are packed, so the primal blocks are too
+    primal = [frame.pack(x) for frame, x in zip(problem.frames, solution.primal_blocks)]
     for idx, con in enumerate(problem.constraints):
-        value = 0.0
-        for k, a in con.coeffs.items():
-            value += float(np.real(np.sum(a.conj() * primal[k])))
-        if con.sense == "==":
-            viol = abs(value - con.rhs)
-            max_eq = max(max_eq, viol)
-        elif con.sense == "<=":
-            viol = max(0.0, value - con.rhs)
-            max_ineq = max(max_ineq, viol)
-        else:
-            viol = max(0.0, con.rhs - value)
-            max_ineq = max(max_ineq, viol)
+        value = sum(float(np.vdot(a, primal[k]).real) for k, a in con.coeffs.items())
+        viol = abs(value - con.rhs)
+        max_eq = max(max_eq, viol)
         if viol > VERIFY_FEAS_TOL * b_scale:
             findings.append(f"constraint {idx} violated by {viol:.3e}")
     min_eig = np.inf
@@ -474,6 +470,5 @@ def verify(problem: SdpProblem, solution: SdpSolution) -> VerifyReport:
     if solution.status == "optimal" and gap > VERIFY_GAP_TOL:
         findings.append(f"duality gap {gap:.3e} exceeds {VERIFY_GAP_TOL:.1e}")
     return VerifyReport(ok=not findings, max_equality_violation=max_eq,
-                        max_inequality_violation=max_ineq,
                         min_block_eigenvalue=float(min_eig),
                         relative_gap=gap, findings=findings)

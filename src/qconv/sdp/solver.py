@@ -1,13 +1,14 @@
 """Primal-dual interior-point solver for dense Hermitian-block SDPs.
 
 Path-following with Nesterov-Todd scaling and a Mehrotra predictor-corrector
-step. Scalar inequalities are converted to equalities with 1x1 slack blocks
-up front, so the core iteration only sees the standard equality form
+step, on the standard equality form that ``SdpProblem`` stores
 
-    min sum_k <C_k, X_k>   s.t.   sum_k <A_ik, X_k> = b_i,   X_k >= 0.
+    min sum_k <C_k, X_k>   s.t.   sum_k <A_ik, X_k> = b_i,   X_k >= 0,
 
-A block declared with a frame is solved as its diagonal sub-blocks: its
-objective and coefficients are block-diagonal in the frame, so only those
+an inequality row's slack being one of its declared blocks.
+
+Every block is solved as the diagonal sub-blocks of its frame: its
+objective and coefficients are block-diagonal there, so only those
 sub-blocks of X_k enter, the pinching of a PSD X_k is PSD, and its dual
 slack is PSD exactly when each sub-block is. Every copy of a repeated
 sub-block is kept, so the split program has the barrier of the whole
@@ -16,14 +17,14 @@ degree is the rank of the cone, d for a d x d block however it is split.
 So a split solve follows the central path of the unsplit one.
 
 The sub-blocks of one size s are one stack of N members, in the problem's
-order, slacks last; every 1x1 block, 1x1 sub-block and slack is a member
-of the s = 1 stack. A stack's objective, iterates, scaling point W and
-scaling factor G are (N, s, s) arrays, and every row's coefficients on it
-are one complex matrix A of shape (m, N s²), zero where the row does not
-touch a member. So A(X), A*(y), NT scaling, the step length, the
-corrector, the Newton directions and the iterate update take one numpy
-call per stack. numpy rounds each member of a stacked product or
-eigendecomposition as it would the matrix alone.
+order; every 1x1 block and 1x1 sub-block is a member of the s = 1 stack.
+A stack's objective, iterates, scaling point W and scaling factor G are
+(N, s, s) arrays, and every row's coefficients on it are one complex
+matrix A of shape (m, N s²), zero where the row does not touch a member.
+So A(X), A*(y), NT scaling, the step length, the corrector, the Newton
+directions and the iterate update take one numpy call per stack. numpy
+rounds each member of a stacked product or eigendecomposition as it would
+the matrix alone.
 
 NT scaling eigendecomposes S and S^(1/2) X S^(1/2) = Q diag(d)² Q^H once
 per iteration. G = S^(-1/2) Q diag(d)^(1/2) has G G^H = W, where W S W = X,
@@ -45,6 +46,8 @@ roundoff. The solve is deterministic for identical input data.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .. import linalg
@@ -63,16 +66,15 @@ SCHUR_SLICE_BYTES = 4 * 2**20
 
 
 class _StandardForm:
-    """Equality-form data, one stack per sub-block size.
+    """The problem's data, one stack per sub-block size.
 
-    Each problem block (slack blocks last) is split into its diagonal
-    sub-blocks (``SdpProblem.sub_blocks``); a block kept whole is one.
+    Each problem block is split into the diagonal sub-blocks of its frame.
     Stack g holds the N sub-blocks of size ``sizes[g]``, in the problem's
-    order: ``block_of[g]`` is each member's problem block, of dimension
-    ``block_dims``, ``C[g]`` the (N, s, s) objective and ``A[g]`` every
-    row's coefficients, flattened member by member to complex (m, N s²).
-    ``place[k]`` lists, for problem block k, each (stack, columns of A,
-    entries of the block's packed coefficient) its sub-blocks fill.
+    order: ``block_of[g]`` is each member's problem block, ``C[g]`` the
+    (N, s, s) objective and ``A[g]`` every row's coefficients, flattened
+    member by member to complex (m, N s²). ``place[k]`` lists, for each run
+    of equal sizes in block k's frame, its stack and two slices: the
+    columns of A and the entries of the block's packed coefficients.
 
     ``A`` is the only copy of the coefficients the solver holds, 16 bytes
     per row and entry, as ``SdpProblem`` counts it.
@@ -83,36 +85,25 @@ class _StandardForm:
             raise ValueError("problem must carry at least one constraint")
         self.m = len(problem.constraints)
         self.b = np.array([c.rhs for c in problem.constraints], dtype=float)
-        self.n_orig = len(problem.block_dims)
-        self.frames = problem.frames
-        subs = [problem.sub_blocks(k) for k in range(self.n_orig)]
-        slack = {i: len(subs) + j for j, i in enumerate(
-            i for i, c in enumerate(problem.constraints) if c.sense != "==")}
-        subs += [(1,)] * len(slack)
-        self.block_dims = list(problem.block_dims) + [1] * len(slack)
-        stack_of: dict[int, int] = {}
+        self.block_dims, self.frames = problem.block_dims, problem.frames
         self.sizes, block_of, self.place = [], [], []
-        for k, sizes in enumerate(subs):
-            offsets = np.cumsum([0, *(s * s for s in sizes)])[:-1]
-            runs: dict[int, tuple[int, list]] = {}  # stack: (first member, entries)
-            for s, off in zip(sizes, offsets):
-                if s not in stack_of:
-                    stack_of[s] = len(self.sizes)
+        for k, frame in enumerate(self.frames):
+            place, start = [], 0
+            for s, run in itertools.groupby(frame.sizes):
+                if s not in self.sizes:
                     self.sizes.append(s)
                     block_of.append([])
-                g = stack_of[s]
-                runs.setdefault(g, (len(block_of[g]), []))[1].append(np.arange(off, off + s * s))
-                block_of[g].append(k)
-            self.place.append([(g, slice(first * self.sizes[g] ** 2,
-                                         (first + len(e)) * self.sizes[g] ** 2), np.concatenate(e))
-                               for g, (first, e) in runs.items()])
+                g, count = self.sizes.index(s), len(list(run))
+                col, width = len(block_of[g]) * s * s, count * s * s
+                place.append((g, slice(col, col + width), slice(start, start + width)))
+                block_of[g] += [k] * count
+                start += width
+            self.place.append(place)
         self.block_of = [np.array(k, dtype=np.intp) for k in block_of]
         widths = [len(k) * s * s for k, s in zip(block_of, self.sizes)]
         self.A = [np.zeros((self.m, w), dtype=complex) for w in widths]
         for i, con in enumerate(problem.constraints):
-            coeffs = con.coeffs if i not in slack else \
-                {**con.coeffs, slack[i]: np.array([1.0 if con.sense == "<=" else -1.0])}
-            self._put([a[i] for a in self.A], coeffs)
+            self._put([a[i] for a in self.A], con.coeffs)
         C = [np.zeros(w, dtype=complex) for w in widths]
         self._put(C, problem.objective)
         self.C = [c.reshape(-1, s, s) for c, s in zip(C, self.sizes)]
@@ -120,7 +111,6 @@ class _StandardForm:
     def _put(self, rows: list[np.ndarray], coeffs: dict[int, np.ndarray]) -> None:
         """Write packed per-block ``coeffs`` into one flat row per stack."""
         for k, a in coeffs.items():
-            a = a.reshape(-1)
             for g, cols, entries in self.place[k]:
                 rows[g][cols] = a[entries]
 
@@ -134,15 +124,10 @@ class _StandardForm:
         return np.sqrt(out)
 
     def problem_blocks(self, X: list[np.ndarray]) -> list[np.ndarray]:
-        """The problem's blocks, full size, from the stacks."""
+        """Every declared block, full size, from the stacks."""
         flat = [x.reshape(-1) for x in X]
-        out = []
-        for place, d, frame in zip(self.place[:self.n_orig], self.block_dims, self.frames):
-            packed = np.zeros(sum(e.size for _, _, e in place), dtype=complex)
-            for g, cols, entries in place:
-                packed[entries] = flat[g][cols]
-            out.append(packed.reshape(d, d) if frame is None else frame.unpack(packed))
-        return out
+        return [frame.unpack(np.concatenate([flat[g][cols] for g, cols, _ in place]))
+                for place, frame in zip(self.place, self.frames)]
 
     def apply(self, X: list[np.ndarray]) -> np.ndarray:
         """A(X): vector of <A_i, X> = Re(A_i · conj(X)) over constraints."""
@@ -261,8 +246,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     progress stops first, and an infeasibility status when the iterates
     produce a diverging certificate. A solve that stops without reaching
     the tolerances returns the last iterate that met the looser end-point
-    contract (``_meets_contract``) as "optimal". Primal blocks are
-    returned full size: a framed block reassembled from its sub-blocks.
+    contract (``_meets_contract``) as "optimal". Every declared block, an
+    inequality's slack included, is returned full size, reassembled from
+    its sub-blocks.
     """
     sf = _StandardForm(problem)
     m = sf.m

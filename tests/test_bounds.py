@@ -104,18 +104,19 @@ class TestEaBound:
         # rows: the coordinates of R in its basis, lambda, and those of an
         # optimised input; every inequality is a block with no rows of its own.
         # A fixed input takes all d_ab² = 256 Hermitian coordinates of R; an
-        # optimised one the 136 + 10 permutation-invariant ones of R and rho_ref
+        # optimised one the 136 + 10 permutation-invariant ones of R and rho_ref.
+        # The lambda row declares its 1x1 slack, the last block
         chan = tensor_power(DEPOL, 2)
         ppt_blocks = [16, 16] if cls is TestClass.PPT else []
         fixed = bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, cls,
                                    lambda: np.eye(4) / 4, sdp.hermitian_basis(16))
         assert len(fixed.constraints) == 256 + 1
-        assert fixed.block_dims == [16, 16, 4, 1] + ppt_blocks
+        assert fixed.block_dims == [16, 16, 4, 1] + ppt_blocks + [1]
         optimised = bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, cls, None,
                                        sdp.invariant_basis((2, 2), 2),
                                        sdp.invariant_basis((2,), 2))
         assert len(optimised.constraints) == 136 + 1 + 10 == 147
-        assert optimised.block_dims == [16, 16, 4, 1] + ppt_blocks + [4, 1]
+        assert optimised.block_dims == [16, 16, 4, 1] + ppt_blocks + [4, 1] + [1]
 
     def test_program_residuals(self):
         # end-to-end feasibility of the assembled program at the solution
@@ -182,12 +183,13 @@ class TestProgramLimits:
         # the problem's rows, 16 bytes per packed entry: each of the 136 R rows
         # on the AB blocks (10² + 6² entries each), the adversary's block
         # (3² + 1) and the acceptance block, the lambda row on the adversary's
-        # block, and each of the 10 rho_ref rows on the caps, the rho_ref
-        # block (3² + 1) and the trace block; the solver's copy, 16 bytes per
-        # row and entry: 147 rows on every block's entries and the lambda slack
-        (TestClass.ALL, 16 * (136 * (2 * 136 + 11) + 10 + 10 * (136 + 11))
+        # block and its slack, and each of the 10 rho_ref rows on the caps,
+        # the rho_ref block (3² + 1) and the trace block; the solver's copy,
+        # 16 bytes per row and entry: 147 rows on every block's entries, the
+        # lambda slack's block included
+        (TestClass.ALL, 16 * (136 * (2 * 136 + 11) + (10 + 1) + 10 * (136 + 11))
          + 16 * 147 * (2 * 136 + 2 * 11 + 1)),
-        (TestClass.PPT, 16 * (136 * (4 * 136 + 11) + 10 + 10 * (2 * 136 + 11))
+        (TestClass.PPT, 16 * (136 * (4 * 136 + 11) + (10 + 1) + 10 * (2 * 136 + 11))
          + 16 * 147 * (4 * 136 + 2 * 11 + 1))])
     def test_split_size_estimate_is_the_solver_storage(self, monkeypatch, cls, count):
         probs = []
@@ -230,11 +232,11 @@ class TestProgramLimits:
         # sub-blocks of 45, 45, 45, 35, 20, 20, 15, 15, 15 and 1 (8,776 packed
         # entries), the adversary's 16 x 16 block, split into 5, 3, 3, 3, 1
         # and 1 (54 entries), and the acceptance block; the lambda row on the
-        # adversary's block; and 35 rho_ref rows on the cap, the rho_ref block
-        # (split as the adversary's) and the trace block. The problem keeps
-        # 16 bytes per packed entry of each row, the solver 16 per row and
-        # entry over all 3,912 rows, the lambda slack included. About
-        # 2.05 GiB: admitted, with no operator row built
+        # adversary's block and its slack; and 35 rho_ref rows on the cap, the
+        # rho_ref block (split as the adversary's) and the trace block. The
+        # problem keeps 16 bytes per packed entry of each row, the solver 16
+        # per row and entry over all 3,912 rows, the lambda slack's block
+        # included. About 2.05 GiB: admitted, with no operator row built
         class Admitted(Exception):
             pass
 
@@ -247,7 +249,7 @@ class TestProgramLimits:
         with pytest.raises(Admitted) as admitted:
             ea_bound_opt_rho(DEPOL, 0.05, TestClass.ALL, n=4)
         assert admitted.value.args[0] == \
-            16 * (3876 * (2 * ab + b + 1) + b + 35 * (ab + b + 1)) \
+            16 * (3876 * (2 * ab + b + 1) + (b + 1) + 35 * (ab + b + 1)) \
             + 16 * (3876 + 1 + 35) * (2 * ab + 2 * (b + 1) + 1)
 
     # the PPT program has twice the AB blocks, about 4.1 GiB

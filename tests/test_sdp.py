@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import operator_equality, rand_channel, rand_classical_channel, rand_unitary
 from qconv import bounds, linalg, quantum
-from qconv.sdp import (SdpProblem, diagonal_basis, diagonal_frame, hermitian_basis,
+from qconv.sdp import (Frame, SdpProblem, diagonal_basis, diagonal_frame, hermitian_basis,
                        invariant_basis, invariant_frame, solve, solver, verify)
 from qconv.sdp.solver import _ct, _eigh, _max_step, _nt_scaling, _schur, _StandardForm
 
@@ -164,13 +164,16 @@ class TestSolverContracts:
             assert np.abs(x - x.conj().T).max() <= 1e-12 * (1 + np.abs(x).max())
 
     def test_objective_scale_invariance(self, rng):
+        # the stored coefficients are packed in each block's frame, and the
+        # stored rows re-declare verbatim into a problem with the same blocks
         prob = _random_strictly_feasible(rng, [3], 3)
         sol1 = solve(prob)
-        scaled = SdpProblem(list(prob.block_dims))
+        scaled = SdpProblem(list(prob.block_dims), prob.frames)
         for k, c in prob.objective.items():
-            scaled.set_objective(k, 7.5 * c)
+            scaled.set_objective(k, 7.5 * prob.frames[k].unpack(c))
         for con in prob.constraints:
-            scaled.add_constraint(dict(con.coeffs), con.rhs, con.sense)
+            scaled.add_constraint({k: prob.frames[k].unpack(a) for k, a in con.coeffs.items()},
+                                  con.rhs, con.sense)
         sol2 = solve(scaled)
         assert sol2.primal_objective == pytest.approx(7.5 * sol1.primal_objective, rel=1e-6)
         assert np.abs(sol1.primal_blocks[0] - sol2.primal_blocks[0]).max() < 1e-6 * (
@@ -374,16 +377,19 @@ class TestVerify:
         sol = solve(prob)
         report = verify(prob, sol)
         assert report.ok
-        assert report.max_inequality_violation <= 1e-9
+        assert report.max_equality_violation <= 1e-9
         assert report.relative_gap <= 1e-7
 
     def test_perturbed_solution_flagged(self):
         prob = _scalar_lower_bound_problem()
         sol = solve(prob)
+        # the ">=" row is x - s = 1 on its slack block s: at x = 0.9, s = 0 it
+        # is an equality violated by 0.1
         sol.primal_blocks[0] = np.array([[0.9]], dtype=complex)
+        sol.primal_blocks[1] = np.array([[0.0]], dtype=complex)
         report = verify(prob, sol)
         assert not report.ok
-        assert report.max_inequality_violation == pytest.approx(0.1, abs=1e-9)
+        assert report.max_equality_violation == pytest.approx(0.1, abs=1e-9)
         assert any("constraint 0" in f for f in report.findings)
 
     def test_framed_program_passes(self):
@@ -424,30 +430,26 @@ def _classical_program(p=None):
 
 def _members(prob):
     """Every sub-block of the program as the solver orders it, (size, block,
-    offset in the block's packed coefficients): the problem's blocks, then a
-    1x1 slack block for each inequality row."""
+    offset in the block's packed coefficients), over the declared blocks:
+    an inequality row's slack is one of them."""
     out = []
-    for k in range(len(prob.block_dims)):
-        sizes = prob.sub_blocks(k)
+    for k, frame in enumerate(prob.frames):
+        sizes = frame.sizes
         out += [(s, k, off) for s, off in zip(sizes, np.cumsum([0, *(s * s for s in sizes)]))]
-    slacks = sum(con.sense != "==" for con in prob.constraints)
-    return out + [(1, len(prob.block_dims) + j, 0) for j in range(slacks)]
+    return out
 
 
 def _dense_constraints(prob):
     """Per stack, in order of first size, the (m, N, s, s) tensor of every
     row's coefficient on each of its N members, zero where the row does not
     touch the member, cut from the problem's packed coefficients at the
-    member's offset; an inequality row's slack coefficient is ±1."""
+    member's offset."""
     m = len(prob.constraints)
-    packed = [np.zeros((m, sum(s * s for s in prob.sub_blocks(k))), dtype=complex)
-              for k in range(len(prob.block_dims))]
+    packed = [np.zeros((m, sum(s * s for s in frame.sizes)), dtype=complex)
+              for frame in prob.frames]
     for i, con in enumerate(prob.constraints):
         for k, a in con.coeffs.items():
             packed[k][i] = a.reshape(-1)
-        if con.sense != "==":
-            packed.append(np.zeros((m, 1), dtype=complex))
-            packed[-1][i] = 1.0 if con.sense == "<=" else -1.0
     stacks: dict[int, list[np.ndarray]] = {}
     for s, k, off in _members(prob):
         stacks.setdefault(s, []).append(packed[k][:, off:off + s * s].reshape(m, s, s))
@@ -486,8 +488,14 @@ class TestStandardFormKernels:
         # into 3 and 1: one stack per size, in order of first appearance, and
         # the 1x1 sub-blocks, the acceptance and trace blocks and the lambda
         # slack in the s = 1 stack. Every row has a coefficient column on
-        # every member
+        # every member. Every block is declared before any row, so the lambda
+        # row's slack, with coefficient +1, is the last block
         prob = _depol_ppt_program()
+        assert prob.block_dims == [16, 16, 4, 1, 16, 16, 4, 1, 1]
+        lam = prob.constraints[136]
+        assert lam.sense == "==" and lam.coeffs.keys() == {bounds._G, 8}
+        assert np.array_equal(lam.coeffs[8], [1.0])
+        assert all(8 not in con.coeffs for i, con in enumerate(prob.constraints) if i != 136)
         sf = _StandardForm(prob)
         assert sf.sizes == [10, 6, 3, 1]
         assert [c.shape for c in sf.C] == [(4, 10, 10), (4, 6, 6), (2, 3, 3), (5, 1, 1)]
@@ -607,7 +615,7 @@ class TestVectorBlocks:
         u = rand_unitary(np.random.default_rng(5), 9)
 
         def rotate(k, a):
-            a = prob.frames[k].unpack(a) if prob.frames[k] else a
+            a = prob.frames[k].unpack(a)
             return u @ a @ u.conj().T if k == bounds._CAP else a
 
         # the rotated block is declared without the frame of 1x1 blocks
@@ -645,6 +653,125 @@ class TestVectorBlocks:
         assert np.count_nonzero(sol.primal_blocks[1] - np.diag(np.diagonal(sol.primal_blocks[1]))) == 0
 
 
+def _same_solution(sol1, sol2):
+    assert sol1.status == sol2.status == "optimal"
+    assert sol1.iterations == sol2.iterations
+    assert sol1.primal_objective == sol2.primal_objective
+    assert sol1.dual_objective == sol2.dual_objective
+    assert np.array_equal(sol1.dual_multipliers, sol2.dual_multipliers)
+    assert len(sol1.primal_blocks) == len(sol2.primal_blocks)
+    assert all(np.array_equal(x1, x2) for x1, x2 in zip(sol1.primal_blocks, sol2.primal_blocks))
+
+
+class TestDeclaredBlocks:
+    def test_standard_basis_frame(self, rng):
+        # a frame without a unitary keeps the entries of its groups' diagonal
+        # blocks, 2² + 1 + 2² of them, and rejects mass off those blocks
+        frame = Frame((2, 1, 2))
+        x = np.zeros((5, 5), dtype=complex)
+        groups = (slice(0, 2), slice(2, 3), slice(3, 5))
+        for c in groups:
+            x[c, c] = _random_hermitian(rng, c.stop - c.start)
+        packed = frame.pack(x)
+        assert np.array_equal(packed, np.concatenate([x[c, c].reshape(-1) for c in groups]))
+        assert np.array_equal(frame.unpack(packed), x)
+        off = x.copy()
+        off[0, 4] = off[4, 0] = 0.5
+        with pytest.raises(ValueError, match="block-diagonal"):
+            frame.pack(off)
+        with pytest.raises(ValueError, match="block-diagonal"):
+            SdpProblem([5], [frame]).add_constraint({0: off}, 1.0)
+
+    def test_standard_basis_frame_solves_its_groups(self, rng):
+        # the block of Frame((2, 1, 2)) has two runs of size 2 around one of
+        # size 1; solved as those sub-blocks it has the optimum of the three
+        # blocks 2, 1 and 2 declared apart, and comes back block-diagonal
+        groups = (slice(0, 2), slice(2, 3), slice(3, 5))
+        parts = [[_random_hermitian(rng, c.stop - c.start) for c in groups] for _ in range(4)]
+        objective = [_random_hermitian(rng, c.stop - c.start, definite=True) for c in groups]
+
+        def whole(blocks):
+            x = np.zeros((5, 5), dtype=complex)
+            for c, b in zip(groups, blocks):
+                x[c, c] = b
+            return x
+
+        framed = SdpProblem([5], [Frame((2, 1, 2))])
+        apart = SdpProblem([2, 1, 2])
+        framed.set_objective(0, whole(objective))
+        for k, c in enumerate(objective):
+            apart.set_objective(k, c)
+        for i, row in enumerate(parts):
+            # each row pins <A_i, X> to that of the identity, so X = I is feasible
+            rhs = sum(float(np.trace(a).real) for a in row)
+            framed.add_constraint({0: whole(row)}, rhs, "<=" if i == 0 else "==")
+            apart.add_constraint(dict(enumerate(row)), rhs, "<=" if i == 0 else "==")
+        assert _StandardForm(framed).sizes == _StandardForm(apart).sizes == [2, 1]
+        sol, sol_apart = solve(framed), solve(apart)
+        assert sol.status == sol_apart.status == "optimal"
+        assert sol.primal_objective == pytest.approx(sol_apart.primal_objective, abs=1e-7)
+        x = sol.primal_blocks[0]
+        assert np.count_nonzero(x - whole([x[c, c] for c in groups])) == 0
+
+    def test_block_without_a_frame_is_one_group(self, rng):
+        # add_block(d) stores Frame((d,)): the same standard form and the same
+        # solution, bit for bit, as declaring that frame
+        base = _random_strictly_feasible(rng, [3, 2], 4)
+        probs = [SdpProblem([3, 2]), SdpProblem([3, 2], [Frame((3,)), Frame((2,))])]
+        for prob in probs:
+            for k, c in base.objective.items():
+                prob.set_objective(k, base.frames[k].unpack(c))
+            for con in base.constraints:
+                prob.add_constraint({k: base.frames[k].unpack(a) for k, a in con.coeffs.items()},
+                                    con.rhs)
+        assert [f.sizes for f in probs[0].frames] == [(3,), (2,)]
+        sf, sf_framed = (_StandardForm(prob) for prob in probs)
+        assert sf.sizes == sf_framed.sizes == [3, 2]
+        for got, want in ((sf.A, sf_framed.A), (sf.C, sf_framed.C),
+                          (sf.block_of, sf_framed.block_of)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        _same_solution(solve(probs[0]), solve(probs[1]))
+
+    @pytest.mark.parametrize("sense", ["<=", ">="])
+    def test_inequality_is_its_slack_block(self, sense):
+        # a "<=" row bounds Tr X above on a block with a negative eigenvalue in
+        # its objective, a ">=" row below on a positive one; declaring the 1x1
+        # slack by hand, with coefficient +1 or -1, solves the same, bit for bit
+        c = np.array([[1.0, 0.5 - 0.5j], [0.5 + 0.5j, -1.0]]) if sense == "<=" \
+            else np.array([[1.0, 0.2j], [-0.2j, 2.0]])
+        sign = 1.0 if sense == "<=" else -1.0
+        declared = SdpProblem([2])
+        declared.set_objective(0, c)
+        declared.add_constraint({0: np.eye(2)}, 1.0, sense)
+        by_hand = SdpProblem([2, 1])
+        by_hand.set_objective(0, c)
+        by_hand.add_constraint({0: np.eye(2), 1: [[sign]]}, 1.0)
+        assert declared.block_dims == by_hand.block_dims == [2, 1]
+        assert [con.sense for con in declared.constraints] == ["=="]
+        assert declared.coefficient_bytes == by_hand.coefficient_bytes
+        sol = solve(declared)
+        _same_solution(sol, solve(by_hand))
+        assert sol.primal_objective == pytest.approx(np.linalg.eigvalsh(c).min(), abs=1e-7)
+
+    @pytest.mark.parametrize("sense", ["<=", ">="])
+    def test_rejected_inequality_declares_no_block(self, monkeypatch, sense):
+        # the row and its slack's column are admitted together: a row over the
+        # budget leaves the blocks, the rows and the count as they were
+        prob = SdpProblem([2])
+        prob.add_constraint({0: np.eye(2)}, 1.0)
+        # 16 bytes per held entry (4, then 4 + 1), and per row and column (2 x 5)
+        need = 16 * (4 + 5 + 2 * (4 + 1))
+        before = prob.coefficient_bytes
+        monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", need - 1)
+        with pytest.raises(ValueError, match="GiB"):
+            prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.5, sense)
+        assert prob.block_dims == [2] and len(prob.frames) == 1 and len(prob.constraints) == 1
+        assert prob.coefficient_bytes == before
+        monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", need)
+        prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.5, sense)
+        assert prob.block_dims == [2, 1] and prob.coefficient_bytes == need
+
+
 class TestSizeGuard:
     def test_operator_equality_over_budget_builds_nothing(self, monkeypatch):
         # 64 rows on a 64 x 64 block would hold 8 MiB; one row's coefficient is 64 KiB
@@ -664,7 +791,7 @@ class TestSizeGuard:
     @staticmethod
     def _program():
         # 4 equality rows on blocks of 2 and 3 and on a 1x1 block, and a "<="
-        # and a ">=" row, each of which gets a 1x1 slack in the solver
+        # and a ">=" row, each of which declares a 1x1 slack block
         prob = SdpProblem([2, 3, 1])
         prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1)),
                                     2: lambda h: np.real(np.trace(h)) * np.eye(1)},
@@ -680,12 +807,12 @@ class TestSizeGuard:
                 + sum(a.nbytes for a in sf.A))
 
     def test_count_is_the_bytes_held(self):
-        # 16 bytes per entry here: 4 rows of 4 + 9 + 1 entries, then 4 and 9;
-        # 16 bytes per row and entry in the solver: 6 rows on 14 entries and
-        # 2 slacks
+        # 16 bytes per entry here: 4 rows of 4 + 9 + 1 entries, then 4 and 9,
+        # each with its slack's entry; 16 bytes per row and entry in the
+        # solver: 6 rows on 14 entries and the 2 slack blocks
         prob = self._program()
         assert prob.coefficient_bytes == self._held(prob) == \
-            16 * (4 * 14 + 4 + 9) + 16 * 6 * (14 + 2)
+            16 * (4 * 14 + (4 + 1) + (9 + 1)) + 16 * 6 * (14 + 2)
 
     def test_block_added_after_rows_is_counted(self, monkeypatch):
         # a block added after the rows costs the solver a column per row and
@@ -700,4 +827,4 @@ class TestSizeGuard:
         prob = self._program()
         with pytest.raises(ValueError, match="GiB"):
             prob.add_block(2)
-        assert prob.block_dims == [2, 3, 1] and prob.coefficient_bytes == need - 16 * 6 * 4
+        assert prob.block_dims == [2, 3, 1, 1, 1] and prob.coefficient_bytes == need - 16 * 6 * 4

@@ -8,9 +8,12 @@ the two-use optimised-input program ``ea_bound_opt_rho(channel, eps, cls,
 n=2)`` for the test suite's ``rand_channel(default_rng(seed), a, b)`` of
 each shape a -> b in 2 -> 2, 2 -> 3 and 3 -> 2, at eps 0.01, 0.1 and 0.3,
 for both classes: 18 programs a seed. Prints the number of programs, every
-program that did not end optimal, the total iteration count, and a SHA-256
-over every (repr(beta), iterations) pair in solve order, which changes with
-any bit of any beta. Exits 1 if a program did not end optimal.
+program that did not end optimal, every program that ended optimal only on
+the solver's end-point contract (its returned primal or dual residual above
+``TOL_FEAS``, or its relative gap above ``TOL_GAP``), the total iteration
+count, and a SHA-256 over every (repr(beta), iterations) pair in solve
+order, which changes with any bit of any beta. Exits 1 if a program did not
+end optimal.
 
     PYTHONPATH=src python tools/census.py --seeds 100..139
     PYTHONPATH=src python tools/census.py --optimised --seeds 1..4
@@ -28,6 +31,7 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 # qconv before numpy, so that its one-thread OpenBLAS default holds
 from qconv import bounds, quantum  # noqa: E402  isort: skip
+from qconv.sdp import solver  # noqa: E402  isort: skip
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
@@ -46,12 +50,21 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def _solved(seed, channel, eps, cls, bound):
-    """(seed, channel, eps, class, beta or None, iterations, status) of one program."""
+    """(seed, channel, eps, class, beta or None, iterations, status, residuals)
+    of one program."""
     try:
         res = bound()
     except bounds.SolverFailure as exc:
-        return seed, channel, eps, cls.value, None, exc.solution.iterations, exc.solution.status
-    return seed, channel, eps, cls.value, res.beta, res.diagnostics["iterations"], "optimal"
+        sol = exc.solution
+        return seed, channel, eps, cls.value, None, sol.iterations, sol.status, sol.residuals
+    return (seed, channel, eps, cls.value, res.beta, res.diagnostics["iterations"], "optimal",
+            res.diagnostics)
+
+
+def _contract_only(residuals) -> bool:
+    """Whether an optimal program's returned residuals miss the solver's tolerances."""
+    return max(residuals["primal"], residuals["dual"]) > solver.TOL_FEAS \
+        or residuals["relative_gap"] > solver.TOL_GAP
 
 
 def census(seeds: list[int]):
@@ -85,18 +98,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     programs = iterations = 0
-    failures = []
+    failures, contract = [], []
     rows = (optimised_census if args.optimised else census)(parse_seeds(args.seeds))
-    for seed, idx, eps, cls, beta, its, status in rows:
+    for seed, idx, eps, cls, beta, its, status, res in rows:
         programs += 1
         iterations += its
         digest.update(f"{beta!r} {its}\n".encode())
+        name = f"seed {seed} channel {idx} eps {eps!r} {cls}"
         if status != "optimal":
-            failures.append(f"seed {seed} channel {idx} eps {eps!r} {cls}: {status}")
+            failures.append(f"{name}: {status}")
+        elif _contract_only(res):
+            contract.append(f"{name}: {its} iterations, primal {res['primal']:.1e}, "
+                            f"dual {res['dual']:.1e}, gap {res['relative_gap']:.1e}")
     print(f"programs {programs}")
     for line in failures:
         print(f"failure {line}")
     print(f"failures {len(failures)}")
+    for line in contract:
+        print(f"contract-only {line}")
+    print(f"contract-only {len(contract)}")
     print(f"iterations {iterations}")
     print(f"sha256 {digest.hexdigest()}")
     return 1 if failures else 0
