@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from . import linalg
 from .quantum import DensityMatrix
 
 DIST_ATOL = 1e-12
@@ -109,27 +108,16 @@ def _term(q: mp.mpf, n: int, j: int) -> mp.mpf:
     return mp.mpf(math.comb(n, j)) * q**j * (1 - q) ** (n - j)
 
 
-def _below(a: int, c: int, n: int, ell: int) -> int:
-    """P(X < ell) / P(X = ell) in units of 2^-_GUARD, for X ~ Binomial(n, a / (a + c)).
+def _above(a: int, c: int, n: int, ell: int) -> int:
+    """P(X >= ell) / P(X = ell) in units of 2^-_GUARD, for X ~ Binomial(n, a / (a + c)).
 
-    Sums t_{j-1} = t_j * j c / ((n - j + 1) a) downward from ell, in exact
+    Sums t_{j+1} = t_j * (n - j) a / ((j + 1) c) upward from ell, in exact
     integer arithmetic apart from one floor per term, and stops once the
     terms decrease and one falls below the working precision of the sum.
+    The lower tail is this sum mirrored: n - X ~ Binomial(n, c / (a + c)), so
+    P(X < ell) / P(X = ell) = _above(c, a, n, n - ell) - 2^_GUARD, summed over
+    the same integer terms t_{ell-1}, t_{ell-2}, ...
     """
-    term, total = 1 << _GUARD, 0
-    prec = mp.mp.prec
-    for j in range(ell, 0, -1):
-        num, den = j * c, (n - j + 1) * a
-        term = term * num // den
-        total += term
-        if num < den and term << prec < total:
-            break
-    return total
-
-
-def _above(a: int, c: int, n: int, ell: int) -> int:
-    """P(X >= ell) / P(X = ell) in units of 2^-_GUARD, for X ~ Binomial(n, a / (a + c)):
-    ``_below`` mirrored, summing t_{j+1} = t_j * (n - j) a / ((j + 1) c) upward."""
     term = total = 1 << _GUARD
     prec = mp.mp.prec
     for j in range(ell, n):
@@ -171,7 +159,8 @@ def _threshold(mu: float, n: int, eps: float) -> tuple[int, mp.mpf, mp.mpf]:
         first = _term(mp.mpf(mu), n, ell)
         # alpha_l = below * unit, P(X = l) = term * unit, eps = need * unit (rounded up)
         unit = first / (1 << _GUARD)
-        below, term, need = _below(a, c, n, ell), 1 << _GUARD, int(mp.ceil(meps / unit))
+        term, need = 1 << _GUARD, int(mp.ceil(meps / unit))
+        below = _above(c, a, n, n - ell) - term
         while below + term < need and ell < n:
             below += term
             term = term * (n - ell) * a // ((ell + 1) * c)
@@ -244,6 +233,14 @@ def quantum_np_beta(tau0: DensityMatrix, tau1: DensityMatrix, eps: float) -> Tes
     weight on the crossing eigenspace so the type-I error equals ``eps``
     exactly. On a crossing eigenspace the two states are proportional, so
     one scalar weight loses nothing.
+
+    The bracket grows by quadrupling t from 1, and it always closes: for
+    tau1 >= 0, lambda_max(tau0 - t*tau1) <= lambda_max(tau0) <= 1 + O(atol),
+    so from t = 4^20 ~ 1.1e12 on the strict tolerance 1e-12 * (1 + t)
+    exceeds every eigenvalue, the test accepts nothing and its type-I error
+    1 meets any eps. Only a tau1 with an eigenvalue below about -1e-12,
+    which DensityMatrix admits down to -quantum.STATE_ATOL, keeps its
+    negative eigenspace at every t; it raises ValueError.
     """
     if tau0.dim != tau1.dim:
         raise ValueError(f"dimension mismatch {tau0.dim} != {tau1.dim}")
@@ -251,50 +248,39 @@ def quantum_np_beta(tau0: DensityMatrix, tau1: DensityMatrix, eps: float) -> Tes
         raise ValueError(f"eps must be in [0, 1], got {eps}")
     a0, a1 = tau0.mat, tau1.mat
 
-    def strict_alpha(t: float) -> float:
-        w, v = np.linalg.eigh(a0 - t * a1)
-        tol = 1e-12 * (1.0 + t)
-        keep = v[:, w > tol]
-        return 1.0 - float(np.einsum("ij,ik,kj->", keep.conj(), a0, keep).real)
+    def weight(basis: np.ndarray, op: np.ndarray) -> float:
+        return float(np.einsum("ij,ik,kj->", basis.conj(), op, basis).real)
 
-    lo, alpha_lo = 0.0, strict_alpha(0.0)
-    hi = 1.0
-    found = False
-    while hi <= 1e18:
-        alpha_hi = strict_alpha(hi)
-        if alpha_hi >= eps:
-            found = True
-            break
-        lo, alpha_lo = hi, alpha_hi
+    def strict(t: float) -> tuple[float, np.ndarray]:
+        """Type-I error and accepted basis of the test that accepts the
+        eigenspace of tau0 - t*tau1 above 1e-12 * (1 + t)."""
+        w, v = np.linalg.eigh(a0 - t * a1)
+        keep = v[:, w > 1e-12 * (1.0 + t)]
+        return 1.0 - weight(keep, a0), keep
+
+    lo, hi = 0.0, 1.0
+    alpha_lo, keep_lo = strict(lo)
+    alpha_hi, keep_hi = strict(hi)
+    while alpha_hi < eps:
+        if hi > 1e18:
+            raise ValueError("tau1 has an eigenvalue below -1e-12: the type-I budget never binds")
+        lo, alpha_lo, keep_lo = hi, alpha_hi, keep_hi
         hi *= 4.0
-    if not found:
-        # the budget never binds: accept everything tau1-free, beta = 0
-        kernel = np.eye(tau1.dim) - linalg.support_projector(a1)
-        compressed = linalg.hermitian_part(kernel @ a0 @ kernel)
-        accept = linalg.support_projector(compressed) if np.abs(compressed).max() > 0 else 0 * kernel
-        alpha = 1.0 - float(np.trace(accept @ a0).real)
-        return TestResult(beta=0.0, alpha=alpha, threshold=np.inf, gamma=0.0)
+        alpha_hi, keep_hi = strict(hi)
 
     for _ in range(BISECT_MAX_ITER):
         if alpha_hi - alpha_lo < BISECT_ALPHA_TOL or (hi - lo) < 1e-16 * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi)
-        am = strict_alpha(mid)
-        if am <= eps:
-            lo, alpha_lo = mid, am
+        alpha_mid, keep_mid = strict(mid)
+        if alpha_mid <= eps:
+            lo, alpha_lo, keep_lo = mid, alpha_mid, keep_mid
         else:
-            hi, alpha_hi = mid, am
-
-    def weights(basis: np.ndarray, op: np.ndarray) -> float:
-        if basis.shape[1] == 0:
-            return 0.0
-        return float(np.einsum("ij,ik,kj->", basis.conj(), op, basis).real)
+            hi, alpha_hi = mid, alpha_mid
 
     # candidate 1: the strict test at the feasible end of the bracket
-    w, v = np.linalg.eigh(a0 - lo * a1)
-    keep = v[:, w > 1e-12 * (1.0 + lo)]
-    best = TestResult(beta=min(max(weights(keep, a1), 0.0), 1.0),
-                      alpha=1.0 - weights(keep, a0), threshold=lo, gamma=0.0)
+    best = TestResult(beta=min(max(weight(keep_lo, a1), 0.0), 1.0), alpha=alpha_lo, threshold=lo,
+                      gamma=0.0)
 
     # candidate 2: randomize on the eigenspace that crosses zero inside the
     # bracket; its classification tolerance sits strictly above the
@@ -304,8 +290,8 @@ def quantum_np_beta(tau0: DensityMatrix, tau1: DensityMatrix, eps: float) -> Tes
     cross_tol = max(8.0 * (hi - lo) * (1.0 + t), 1e-10 * (1.0 + t))
     plus = v[:, w > cross_tol]
     cross = v[:, np.abs(w) <= cross_tol]
-    a_plus, b_plus = weights(plus, a0), weights(plus, a1)
-    a_cross, b_cross = weights(cross, a0), weights(cross, a1)
+    a_plus, b_plus = weight(plus, a0), weight(plus, a1)
+    a_cross, b_cross = weight(cross, a0), weight(cross, a1)
     if a_cross > 1e-14:
         gamma = min(max((1.0 - eps - a_plus) / a_cross, 0.0), 1.0)
     else:

@@ -221,3 +221,30 @@ class TestQuantumNp:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             quantum_np_beta(rand_state(rng, 2), maximally_mixed(3), 0.1)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.5])
+    def test_orthogonal_pure_states(self, eps):
+        t0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        t1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+        res = quantum_np_beta(t0, t1, eps)
+        assert res.beta == 0.0
+        assert res.alpha <= eps
+        assert np.isfinite(res.threshold)
+
+    def test_partly_disjoint_supports(self):
+        p0, p1 = [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]
+        t0, t1 = (DensityMatrix(np.diag(p).astype(complex)) for p in (p0, p1))
+        res = quantum_np_beta(t0, t1, 0.3)
+        assert res.beta == pytest.approx(0.2, abs=1e-12)
+        assert res.beta == pytest.approx(classical_np_beta(p0, p1, 0.3).beta, abs=1e-12)
+        res = quantum_np_beta(t0, t1, 0.7)
+        assert res.beta == 0.0
+        assert res.alpha <= 0.7
+
+    def test_tau1_negative_within_state_tolerance_is_rejected(self):
+        # DensityMatrix admits eigenvalues down to -1e-10; below -1e-12 the
+        # strict test keeps tau1's negative eigenspace at every threshold
+        t0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+        t1 = DensityMatrix(np.diag([1.0 + 1e-11, -1e-11]).astype(complex))
+        with pytest.raises(ValueError, match="never binds"):
+            quantum_np_beta(t0, t1, 0.05)

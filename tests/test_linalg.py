@@ -96,6 +96,12 @@ class TestPartialTranspose:
         again = linalg.partial_transpose(out, (da, db), "b")
         assert_allclose(again, x, atol=1e-14)
 
+    def test_first_factor(self, rng):
+        x = _rand_complex(rng, 6, 6)
+        out = linalg.partial_transpose(x, (2, 3), "a")
+        assert_allclose(linalg.partial_transpose(out, (2, 3), "b"), x.T, atol=1e-14)
+        assert_allclose(linalg.partial_transpose(out, (2, 3), "a"), x, atol=1e-14)
+
 
 class TestEigh:
     def test_diagonal(self):

@@ -107,6 +107,14 @@ class TestChannels:
         ident = apply_channel_second(identity_channel(2), pur.mat, 2)
         assert_allclose(ident, pur.mat, atol=1e-14)
 
+    def test_first_factor_dimension_is_inferred(self, rng):
+        chan = rand_channel(rng, 2, 3, 2)
+        x = rand_state(rng, 6).mat
+        assert_allclose(apply_channel_second(chan, x), apply_channel_second(chan, x, 3),
+                        atol=1e-14)
+        with pytest.raises(ValueError, match="not divisible"):
+            apply_channel_second(chan, rand_state(rng, 5).mat)
+
     def test_choi_roundtrip(self, rng):
         chan = rand_channel(rng, 3, 2, 3)
         back = channel_from_choi(chan.choi, 3, 2)

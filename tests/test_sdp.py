@@ -237,6 +237,30 @@ class TestSolverContracts:
         prob.add_constraint({1: [[1.0]]}, 1.0, "==")
         assert solve(prob).status == "dual-infeasible"
 
+    def test_singular_schur_system_falls_back_to_least_squares(self, monkeypatch):
+        # min x0 + 2 x1 s.t. x0 + x1 = 1, the row declared twice: the Schur
+        # matrix is exactly singular at every iterate
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        prob = SdpProblem([1, 1])
+        prob.set_objective(0, [[1.0]])
+        prob.set_objective(1, [[2.0]])
+        for _ in range(2):
+            prob.add_constraint({0: [[1.0]], 1: [[1.0]]}, 1.0, "==")
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
+        assert calls
+
+    def test_program_without_objective(self):
+        prob = SdpProblem([2])
+        prob.add_constraint({0: np.eye(2)}, 1.0, "==")
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_objective) <= 1e-8
+        assert abs(sol.dual_objective) <= 1e-8
+
     def test_rejects_unconstrained(self):
         prob = SdpProblem([2])
         prob.set_objective(0, np.eye(2))
