@@ -290,36 +290,15 @@ def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float | Se
 
 
 def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> BoundResult:
-    """Converse bound at a fixed input via the dual program (unrestricted tests).
-
-    Maximizes (1-eps) mu - <F, rho_ref ⊗ I> subject to
-    I ⊗ G + F >= mu choi, Tr G <= 1 and F, G, mu >= 0; by strong duality
-    the value equals ``ea_bound``'s. It is assembled separately, with a slack
-    block for the operator inequality, as an independent reference.
+    """The value of the dual of ``ea_bound``'s fixed-input program (unrestricted
+    tests): max (1-eps) mu - <F, rho_ref ⊗ I> subject to I ⊗ G + F >= mu choi,
+    Tr G <= 1 and F, G, mu >= 0, over the multipliers of the blocks ``_CAP``
+    (F), ``_G`` (G) and ``_ACC`` (mu). One primal-dual solve gives both values:
+    beta is ``ea_bound``'s ``diagnostics["dual_objective"]``, and the other way round.
     """
-    if rho.dim != channel.dim_in:
-        raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
-    eps_c = _clamp_eps(eps)
-    da, db = channel.dim_in, channel.dim_out
-    dab = da * db
-    prob = sdp.SdpProblem([dab, db, 1, dab])  # F, G, mu, slack
-    F, G, MU, S = 0, 1, 2, 3
-    choi = channel.choi
-    prob.add_operator_equality(
-        {G: lambda h: linalg.partial_trace(h, (da, db), "a"),
-         F: lambda h: h,
-         MU: lambda h: -np.real(np.sum(h.conj() * choi)) * np.eye(1),
-         S: lambda h: -h},
-        sdp.hermitian_basis(dab))
-    prob.add_constraint({G: np.eye(db, dtype=complex)}, 1.0, "<=")
-    prob.set_objective(F, np.kron(_ref_state(rho), np.eye(db, dtype=complex)))
-    prob.set_objective(MU, [[-(1.0 - eps_c)]])
-    solution = _solve(prob)
-    diagnostics = dict(solution.residuals, iterations=solution.iterations,
-                       dual_objective=-solution.dual_objective)
-    if eps_c != eps:
-        diagnostics["eps_solved"] = eps_c
-    return _result(-solution.primal_objective, eps, TestClass.ALL, diagnostics=diagnostics)
+    res = ea_bound(channel, rho, eps)
+    return _result(res.diagnostics["dual_objective"], eps, TestClass.ALL,
+                   diagnostics=dict(res.diagnostics, dual_objective=res.beta))
 
 
 def ea_bound_opt_rho(channel: QuantumChannel, eps: float | Sequence[float],

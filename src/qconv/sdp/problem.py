@@ -83,10 +83,27 @@ class Frame:
     """
 
     def __init__(self, sizes: tuple[int, ...], build=None):
-        self.sizes = tuple(int(s) for s in sizes)
-        self.dim = sum(self.sizes)
-        self.entries = sum(s * s for s in self.sizes)
+        self._runs = tuple((s, len(list(run))) for s, run in itertools.groupby(map(int, sizes)))
         self._build = build
+
+    @classmethod
+    def _counted(cls, runs, build) -> Frame:
+        """The frame of c groups of size s per (s, c) of ``runs``, sized without listing them."""
+        frame = cls((), build)
+        frame._runs = tuple(runs)
+        return frame
+
+    @functools.cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(s for s, count in self._runs for _ in range(count))
+
+    @functools.cached_property
+    def dim(self) -> int:
+        return sum(s * count for s, count in self._runs)
+
+    @functools.cached_property
+    def entries(self) -> int:
+        return sum(s * s * count for s, count in self._runs)
 
     @functools.cached_property
     def unitary(self) -> np.ndarray | None:
@@ -180,18 +197,21 @@ class SdpProblem:
             raise ValueError(f"unknown block index {k}")
         return self.frames[k]
 
-    def _admit(self, rows: int, entries: int, columns: int) -> None:
+    def _admit(self, rows: int, entries: int, columns: int, build=lambda: None):
         """Count ``rows`` more rows holding ``entries`` packed entries here, and
         ``columns`` more columns of the solver's copy (a block's packed
-        entries); reject the program, before any of them is built, if it
-        would pass MAX_PROGRAM_BYTES."""
+        entries), and return ``build()``: a program over MAX_PROGRAM_BYTES is
+        rejected before the call, and a call that fails counts nothing."""
         held, m, width = self._held + entries, self._rows + rows, self._width + columns
         need = 16 * (held + m * width)
         if need > MAX_PROGRAM_BYTES:
-            raise ValueError(f"the program needs {need / 2**30:.1f} GiB of constraint "
+            tenths = (20 * need + 2**30) // 2**31  # in integers: a float overflows at many uses
+            raise ValueError(f"the program needs {tenths // 10}.{tenths % 10} GiB of constraint "
                              f"coefficients, over the {MAX_PROGRAM_BYTES / 2**30:.0f} GiB limit")
+        built = build()
         self._held, self._rows, self._width = held, m, width
         self.coefficient_bytes = need
+        return built
 
     def _check_coeff(self, k: int, a) -> np.ndarray:
         frame = self._frame(k)
@@ -229,14 +249,16 @@ class SdpProblem:
         operator L_k†(H) on that block. Read on the dual side, the rows are
         the coordinates y_H of an operator unknown Y = sum_H y_H H, and
         block k's dual slack gains -L_k†(Y). All ``len(basis)`` rows are
-        admitted before the first basis element is built.
+        admitted before the first basis element is built, and declared once
+        all are built, so a term that fails declares none.
         """
         if not terms:
             raise ValueError("constraint must touch at least one block")
-        self._admit(len(basis), len(basis) * sum(self._frame(k).entries for k in terms), 0)
-        for h in basis:
-            self.constraints.append(LinearConstraint(
-                {k: self._check_coeff(k, adj(h)) for k, adj in terms.items()}, 0.0))
+        rows = basis._size  # len() fails above sys.maxsize, where a rejection is due
+        self.constraints += self._admit(
+            rows, rows * sum(self._frame(k).entries for k in terms), 0,
+            lambda: [LinearConstraint({k: self._check_coeff(k, adj(h))
+                                       for k, adj in terms.items()}, 0.0) for h in basis])
 
 
 class Basis:
@@ -333,33 +355,29 @@ def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
     return Basis(math.comb(d_loc * d_loc + n - 1, n), elements, invariant_frame(dims, n))
 
 
-def _partitions(n: int, largest: int):
-    """The partitions of n into parts of at most ``largest``, largest first."""
+def _partitions(n: int, parts: int, largest: int):
+    """The partitions of n into at most ``parts`` parts of at most ``largest``."""
     if n == 0:
         yield ()
-    for k in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - k, k):
+        return
+    for k in range(min(n, largest), (n - 1) // parts, -1):
+        for rest in _partitions(n - k, parts - 1, k):
             yield (k, *rest)
 
 
-def _schur_weyl_sizes(d: int, n: int) -> tuple[int, ...]:
-    """The sub-block sizes of the operators on (C^d)^⊗n that commute with
-    permuting the uses: for each partition λ of n into at most d parts, the
-    dimension of the GL(d) irrep λ (hook-content formula) repeated as often
-    as the dimension of the S_n irrep λ (hook-length formula), in
-    decreasing order."""
-    sizes = []
-    for lam in _partitions(n, n):
-        if len(lam) > d:
-            continue
-        column = [sum(1 for row in lam if row > j) for j in range(lam[0])]
-        hooks = contents = 1
-        for i, row in enumerate(lam):
-            for j in range(row):
-                hooks *= row - j + column[j] - i - 1
-                contents *= d + j - i
-        sizes += [contents // hooks] * (math.factorial(n) // hooks)
-    return tuple(sorted(sizes, reverse=True))
+def _schur_weyl_runs(d: int, n: int) -> list[tuple[int, int]]:
+    """The sub-block sizes of the operators on (C^d)^⊗n that commute with permuting
+    the uses, as decreasing (size, count) runs: for each partition λ of n into at
+    most d parts, padded to d, with l_i = λ_i + d - i and Δ = Π_{i<j} (l_i - l_j),
+    Δ / Π_{i<j} (j - i) for the GL(d) irrep λ (Weyl), n! Δ / Π l_i! for S_n's (Frobenius)."""
+    pairs = list(itertools.combinations(range(d), 2))
+    runs = []
+    for lam in _partitions(n, d, n):
+        shifted = [row + d - 1 - i for i, row in enumerate(lam + (0,) * (d - len(lam)))]
+        delta = math.prod(shifted[i] - shifted[j] for i, j in pairs)
+        runs.append((delta // math.prod(j - i for i, j in pairs),
+                     math.factorial(n) * delta // math.prod(map(math.factorial, shifted))))
+    return sorted(runs, reverse=True)
 
 
 FRAME_SEED = 2004
@@ -382,9 +400,10 @@ def invariant_frame(dims: tuple[int, ...], n: int) -> Frame | None:
     if n < 2:
         return None
     size = math.prod(dims) ** n
-    sizes = _schur_weyl_sizes(math.prod(dims), n)
+    runs = _schur_weyl_runs(math.prod(dims), n)
 
     def build():
+        sizes = [s for s, count in runs for _ in range(count)]
         index = np.arange(size).reshape([d for d in dims for _ in range(n)])
         every = np.arange(size)
         rng = np.random.default_rng(FRAME_SEED)
@@ -406,7 +425,7 @@ def invariant_frame(dims: tuple[int, ...], n: int) -> Frame | None:
         groups.sort(key=lambda g: (-len(g), w[g[0]]))
         return v[:, np.concatenate(groups)]
 
-    return Frame(sizes, build)
+    return Frame._counted(runs, build)
 
 
 def hermitian_basis(d: int) -> Basis:

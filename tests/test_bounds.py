@@ -89,13 +89,15 @@ class TestEaBound:
             assert top == pytest.approx(res.beta, abs=1e-7)
 
     def test_optimal_sigma_is_the_adversary_state(self, rng):
-        # the Neyman-Pearson test against rho_ref ⊗ sigma attains the bound
+        # the Neyman-Pearson test against rho_ref ⊗ sigma attains the bound; it
+        # shares no code with the program, so it checks both sides of the solve
         for _ in range(4):
-            chan = rand_channel(rng, 2, int(rng.integers(2, 4)))
-            rho = rand_state(rng, 2)
+            din = int(rng.integers(2, 4))
+            chan = rand_channel(rng, din, int(rng.integers(2, 4)))
+            rho = rand_state(rng, din)
             res = ea_bound(chan, rho, 0.1)
             joint = DensityMatrix(apply_channel_second(
-                chan, canonical_purification(rho).mat, 2))
+                chan, canonical_purification(rho).mat, din))
             prod = DensityMatrix(np.kron(rho.mat.T, res.optimal_sigma), atol=1e-8)
             assert quantum_np_beta(joint, prod, 0.1).beta == pytest.approx(res.beta, abs=1e-6)
 
@@ -285,6 +287,26 @@ class TestProgramLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_sixteen_optimised_uses_are_rejected_from_closed_forms(self, monkeypatch, cls):
+        # the AB frame of sixteen uses has 7.0e6 Schur-Weyl sub-blocks; its
+        # size comes from one (size, count) run per irrep, and the program is
+        # rejected without listing them
+        def unbuilt(*args):
+            raise AssertionError("tensor_power ran for a rejected program")
+
+        monkeypatch.setattr(quantum, "tensor_power", unbuilt)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="GiB"):
+                ea_bound_opt_rho(DEPOL, 0.05, cls, n=16)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 4 * 2**20
+
     def test_fixed_input_uses_are_the_tensor_power(self):
         # the same program, bit for bit, as on the two-use channel
         res = ea_bound(DEPOL, None, 0.05, n=2)
@@ -320,6 +342,18 @@ class TestEaBoundDual:
     def test_constant_channel(self, rng):
         res = ea_bound_dual(_constant(rng), MU2, 0.5)
         assert res.bits == pytest.approx(1.0, abs=1e-6)
+
+    def test_is_ea_bound_read_from_the_other_side(self):
+        # one solve: the dual's beta is the solver's primal value, which
+        # ea_bound keeps as its dual objective, and the other way round
+        rng = np.random.default_rng(2112)
+        for _ in range(6):
+            chan = rand_channel(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            rho = rand_state(rng, chan.dim_in)
+            primal, dual = ea_bound(chan, rho, 0.1), ea_bound_dual(chan, rho, 0.1)
+            assert dual.beta == primal.diagnostics["dual_objective"]
+            assert dual.diagnostics["dual_objective"] == primal.beta
+            assert dual.diagnostics["iterations"] == primal.diagnostics["iterations"]
 
     def test_strong_duality_random(self, rng):
         for _ in range(5):

@@ -348,6 +348,22 @@ class TestExitCodes:
         assert cli.main(["depol", "--d", "2", "--p", "2.0", "--eps", "0.05",
                          "--n", "1"]) == 2
 
+    @pytest.mark.parametrize("extra", [["--n", "16"], ["--n", "140"],
+                                       ["--rho", "optimize", "--n", "20"],
+                                       ["--rho", "optimize", "--n", "100"]])
+    def test_many_uses_are_2_with_the_size_message(self, tmp_path, monkeypatch, capsys, extra):
+        # sixteen fixed uses have more Hermitian rows than len() counts, 140
+        # need more GiB than a float holds, and the optimised programs have
+        # more Schur-Weyl sub-blocks than memory holds: each is sized in
+        # closed form and rejected before the channel
+        def unbuilt(*args):
+            raise AssertionError("tensor_power ran for a rejected program")
+
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        monkeypatch.setattr(quantum, "tensor_power", unbuilt)
+        assert cli.main(["bound", "--channel", str(chan), "--eps", "0.1", *extra]) == 2
+        assert "GiB of constraint coefficients" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [["--eps", "0.9999999999"], ["--eps", "0.05", "--n", "4"]])
     def test_unsupported_bound_is_2(self, tmp_path, extra):
         # eps above 1 - 1e-9; four uses need about 257 GiB of coefficients

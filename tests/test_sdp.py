@@ -10,6 +10,7 @@ from conftest import operator_equality, rand_channel, rand_classical_channel, ra
 from qconv import bounds, linalg, quantum
 from qconv.sdp import (Frame, SdpProblem, diagonal_basis, diagonal_frame, hermitian_basis,
                        invariant_basis, invariant_frame, solve, solver, verify)
+from qconv.sdp.problem import _schur_weyl_runs
 from qconv.sdp.solver import _ct, _eigh, _max_step, _nt_scaling, _schur, _StandardForm
 
 
@@ -343,6 +344,35 @@ class TestBases:
         for h in invariant_basis(dims, n):
             assert np.abs((u.T @ h @ u)[mask]).max(initial=0.0) < 1e-12
             assert_allclose(frame.unpack(frame.pack(h)), h, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 9])
+    def test_frame_runs_obey_schur_weyl_duality(self, d):
+        # each irrep λ of GL(d), of size s, comes with the S_n irrep λ, of size
+        # f: the copies fill the space (Σ f s = d^n), the invariant operators
+        # are one s x s block per λ (Σ s² is the invariant basis's length), and
+        # with every partition of n present the S_n irreps make up its regular
+        # representation (Σ f² = n!)
+        for n in range(1, 9):
+            runs = _schur_weyl_runs(d, n)
+            assert sum(s * f for s, f in runs) == d**n
+            assert sum(s * s for s, _ in runs) == len(invariant_basis((d,), n))
+            if d >= n:
+                assert sum(f * f for _, f in runs) == math.factorial(n)
+
+    def test_frame_is_sized_without_listing_its_groups(self):
+        # twenty uses of C⁴ split into about 9.9e8 sub-blocks: the frame's
+        # dimension and packed entries come from one (size, count) run per
+        # irrep, and its sizes are not listed
+        tracemalloc.start()
+        try:
+            frame = invariant_frame((2, 2), 20)
+            assert frame.dim == 4**20
+            assert frame.entries == sum(s * s * f for s, f in _schur_weyl_runs(4, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "sizes" not in vars(frame)
+        assert peak < 2**20
 
     def test_frame_is_deterministic(self):
         assert invariant_frame((2, 2), 3).unitary.tobytes() == \
@@ -852,3 +882,59 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match="GiB"):
             prob.add_block(2)
         assert prob.block_dims == [2, 3, 1, 1, 1] and prob.coefficient_bytes == need - 16 * 6 * 4
+
+
+def _declared(prob: SdpProblem):
+    """What a rejected declaration must leave as it was."""
+    return (list(prob.block_dims), len(prob.frames), [id(c) for c in prob.constraints],
+            prob.coefficient_bytes, sorted(prob.objective))
+
+
+class TestDeclarationChecks:
+    @pytest.mark.parametrize("dims,frames", [([], None), ([2, 0], None), ([2, 1], [None]),
+                                             ([3], [Frame((2,))])])
+    def test_constructor_rejects_its_blocks(self, dims, frames):
+        with pytest.raises(ValueError):
+            SdpProblem(dims, frames)
+
+    @pytest.mark.parametrize("declare", [
+        lambda prob: prob.add_block(0),
+        lambda prob: prob.add_block(2, Frame((1, 1, 1))),
+        lambda prob: prob.set_objective(7, np.eye(2)),
+        lambda prob: prob.set_objective(0, np.eye(3)),
+        lambda prob: prob.set_objective(0, [[0.0, 1.0], [0.0, 0.0]]),
+        lambda prob: prob.add_constraint({7: np.eye(2)}, 1.0),
+        lambda prob: prob.add_constraint({0: np.eye(3)}, 1.0),
+        lambda prob: prob.add_constraint({0: np.eye(2), 1: [[1.0, 0.0]]}, 1.0, "<="),
+        lambda prob: prob.add_constraint({0: [[0.0, 1.0], [0.0, 0.0]]}, 1.0, ">="),
+        lambda prob: prob.add_constraint({0: np.eye(2)}, 1.0, "<"),
+        lambda prob: prob.add_constraint({}, 1.0),
+        lambda prob: prob.add_operator_equality({}, hermitian_basis(2)),
+        lambda prob: prob.add_operator_equality({0: lambda h: h, 7: lambda h: h},
+                                                hermitian_basis(2)),
+        lambda prob: prob.add_operator_equality({1: lambda h: h}, hermitian_basis(2))])
+    def test_rejected_declaration_changes_nothing(self, declare):
+        # blocks 0..4 have dimensions 2, 3, 1, 1, 1 (two slacks); 7 is unknown
+        prob = TestSizeGuard._program()
+        prob.set_objective(0, np.eye(2))
+        before = _declared(prob)
+        with pytest.raises(ValueError):
+            declare(prob)
+        assert _declared(prob) == before
+
+    def test_operator_equality_declares_all_its_rows_or_none(self):
+        # the term fails on the third of four basis elements: the two rows
+        # already built are not declared, and no byte is counted
+        prob = SdpProblem([2])
+        seen = []
+
+        def term(h):
+            seen.append(h)
+            return np.triu(np.ones((2, 2))) if len(seen) == 3 else h
+
+        with pytest.raises(ValueError, match="Hermitian"):
+            prob.add_operator_equality({0: term}, hermitian_basis(2))
+        assert len(seen) == 3
+        assert prob.constraints == [] and prob.coefficient_bytes == 0
+        prob.add_operator_equality({0: lambda h: h}, hermitian_basis(2))
+        assert len(prob.constraints) == 4 and prob.coefficient_bytes == 16 * (4 * 4 + 4 * 4)
