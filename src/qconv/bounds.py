@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -147,11 +148,11 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     is C_k - sum_i y_i A_ik; no block has rows of its own. ``dims`` are
     the input and output dimensions; ``choi()`` returns the channel's
     Choi matrix and ``rho_ref()``, unless ``rho_ref`` is None, the fixed
-    reference state. Every block is declared before any row, and the R
-    rows are the first rows, so that a program over
+    reference state. Every block the R rows touch is declared before any
+    row, and the R rows are the first rows, so that a program over
     ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected before either is called
-    or any coefficient is built. The lambda row's slack is then the last
-    block.
+    or any coefficient is built. The 1x1 block lambda >= 0 follows the R
+    rows, just before the lambda row, its only row.
 
     The blocks in R (R >= 0, R <= rho_ref ⊗ I and both PPT blocks) are
     declared with ``r_basis.frame``, the rho_ref block with
@@ -189,8 +190,8 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
     if rho_ref is not None:
         for k in caps:
             prob.set_objective(k, np.kron(rho_ref(), eye_b))
-    # the lambda row, y = -lambda: "<=" keeps lambda >= 0, and Tr G <= 1 on the primal side
-    prob.add_constraint({_G: eye_b}, 1.0, "<=")
+    # the lambda row, y = -lambda, on a 1x1 block lambda >= 0: Tr G <= 1 on the primal side
+    prob.add_constraint({_G: eye_b, prob.add_block(1): [[1.0]]}, 1.0)
     if rho_ref is None:
         rho_terms = {k: (lambda g: -np.kron(g, eye_b)) for k in caps}
         rho_terms[rho] = lambda g: -g
@@ -318,11 +319,17 @@ def ea_bound_opt_rho(channel: QuantumChannel, eps: float | Sequence[float],
     (``sdp.invariant_basis``) without changing the optimum: 147 rows
     instead of 273 for two uses of a qubit channel. The n-use channel is
     built only after those rows are admitted, so an oversized program is
-    rejected before ``quantum.tensor_power`` runs.
+    rejected before ``quantum.tensor_power`` runs; one whose R rows alone
+    are over the limit is rejected before any frame is sized.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     da, db = channel.dim_in, channel.dim_out
+    # each of the blocks R >= 0 and R <= rho_ref ⊗ I packs at least one entry per
+    # R row (sum f s² >= sum s² = rows), held by every R row and by the solver's
+    # copy: 64 rows² bytes at least, checked before sizing frames takes time in n
+    rows = math.comb((da * db) ** 2 + n - 1, n)
+    sdp.problem.check_program_bytes(64 * rows * rows)
     return _per_eps(eps, lambda eps_list: _ea_bound(
         (da**n, db**n), lambda: quantum.tensor_power(channel, n).choi, eps_list, cls,
         None, sdp.invariant_basis((da, db), n), sdp.invariant_basis((da,), n),

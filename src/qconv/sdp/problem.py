@@ -1,9 +1,9 @@
 """Standard-form semidefinite programs over Hermitian blocks.
 
-A problem holds PSD variable blocks X_k and scalar linear constraints
+A problem holds PSD variable blocks X_k and scalar equality rows
 
     minimize    sum_k <C_k, X_k>
-    subject to  sum_k <A_ik, X_k>  (=, <=, >=)  b_i,      X_k >= 0,
+    subject to  sum_k <A_ik, X_k> = b_i,      X_k >= 0,
 
 with the real inner product <A, X> = Re Tr(A† X), and its dual
 
@@ -29,11 +29,11 @@ blocks for diagonal phases), and a block-diagonal linear matrix inequality
 holds exactly when each of its diagonal sub-blocks is PSD (Murota, Kanno,
 Kojima & Kojima, JJIAM 2010). Such a block keeps only those sub-blocks; a
 block declared without a frame has the standard basis in one group, the
-whole block. A scalar inequality row declares its own 1x1 slack block and
-is stored as an equality on it, so the blocks and rows a problem holds are
-the ones the solver solves. The solver stacks the sub-blocks of each size,
-1x1 blocks and 1x1 sub-blocks alike, and holds every row's coefficients on
-a stack as one dense matrix.
+whole block. A scalar inequality is a 1x1 block the program declares
+itself, like every other inequality, so the blocks and rows a problem
+holds are the ones the solver solves. The solver stacks the sub-blocks of
+each size, 1x1 blocks and 1x1 sub-blocks alike, and holds every row's
+coefficients on a stack as one dense matrix.
 
 A problem counts, as its rows are declared, the coefficient bytes it will
 hold during a solve, and rejects rows that would take the program over
@@ -51,16 +51,23 @@ import numpy as np
 
 from .. import linalg
 
-SENSES = ("==", "<=", ">=")
 MAX_PROGRAM_BYTES = 4 * 2**30  # admits the three-use qubit programs, both classes
+
+
+def check_program_bytes(need: int) -> None:
+    """Reject a program that needs ``need`` bytes of coefficients, over MAX_PROGRAM_BYTES."""
+    if need > MAX_PROGRAM_BYTES:
+        tenths = (20 * need + 2**30) // 2**31  # in integers: a float overflows at many uses
+        raise ValueError(f"the program needs {tenths // 10}.{tenths % 10} GiB of constraint "
+                         f"coefficients, over the {MAX_PROGRAM_BYTES / 2**30:.0f} GiB limit")
 
 
 @dataclass
 class LinearConstraint:
     """One scalar row: sum over blocks of <coeff, X_block> = rhs, each
-    coefficient packed in its block's frame (``Frame.pack``). A problem
-    stores every row as an equality; an inequality's slack is a block of
-    the row."""
+    coefficient packed in its block's frame (``Frame.pack``). Every row is
+    an equality; ``sense`` is always "==" and stays a field because the
+    benchmark's traced solve (``perfbench/traced.py``) reads it."""
 
     coeffs: dict[int, np.ndarray]
     rhs: float
@@ -71,8 +78,9 @@ FRAME_RTOL = 1e-6  # off-block mass, relative to the coefficient, at which packi
 
 
 class Frame:
-    """An orthonormal basis U = [U_1 ... U_r] of C^d, in groups of ``sizes``
-    columns, in which every coefficient of a block is block-diagonal.
+    """An orthonormal basis U = [U_1 ... U_r] of C^d, in groups of columns
+    given as (size, count) ``runs``, in which every coefficient of a block
+    is block-diagonal; a frame is sized without listing its groups.
 
     ``pack(a)`` keeps the sub-blocks U_iᵀ a U_i, flattened one after another
     into ``entries`` = sum(s²) entries; ``unpack`` maps such a vector back to
@@ -82,28 +90,23 @@ class Frame:
     diagonal one.
     """
 
-    def __init__(self, sizes: tuple[int, ...], build=None):
-        self._runs = tuple((s, len(list(run))) for s, run in itertools.groupby(map(int, sizes)))
+    def __init__(self, runs, build=None):
+        self.runs = tuple((int(s), int(count)) for s, count in runs)
+        if any(s < 1 or count < 1 for s, count in self.runs):
+            raise ValueError(f"frame runs need sizes and counts >= 1, got {self.runs}")
         self._build = build
-
-    @classmethod
-    def _counted(cls, runs, build) -> Frame:
-        """The frame of c groups of size s per (s, c) of ``runs``, sized without listing them."""
-        frame = cls((), build)
-        frame._runs = tuple(runs)
-        return frame
 
     @functools.cached_property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(s for s, count in self._runs for _ in range(count))
+        return tuple(s for s, count in self.runs for _ in range(count))
 
     @functools.cached_property
     def dim(self) -> int:
-        return sum(s * count for s, count in self._runs)
+        return sum(s * count for s, count in self.runs)
 
     @functools.cached_property
     def entries(self) -> int:
-        return sum(s * s * count for s, count in self._runs)
+        return sum(s * s * count for s, count in self.runs)
 
     @functools.cached_property
     def unitary(self) -> np.ndarray | None:
@@ -150,16 +153,16 @@ class Frame:
 
 def diagonal_frame(d: int) -> Frame:
     """The standard basis of C^d in 1x1 groups: the frame of diagonal blocks."""
-    return Frame((1,) * d)
+    return Frame([(1, d)])
 
 
 class SdpProblem:
     """Container and validator for a block-diagonal Hermitian SDP.
 
     ``frames[k]`` is block k's ``Frame``; a block declared without one gets
-    ``Frame((d,))``, the whole block. Every coefficient is stored packed in
-    its block's frame, and every row as an equality: an inequality row
-    declares its own 1x1 slack block.
+    ``Frame([(d, 1)])``, the whole block. Every coefficient is stored packed
+    in its block's frame. Every row is an equality, and every inequality is
+    a declared block: a scalar one is a 1x1 block.
 
     ``coefficient_bytes`` is what the declared rows will hold during a
     solve, and it is exact. Each row keeps its own packed coefficients
@@ -184,7 +187,7 @@ class SdpProblem:
     def add_block(self, dim: int, frame: Frame | None = None) -> int:
         if int(dim) < 1:
             raise ValueError("block dimension must be >= 1")
-        frame = Frame((int(dim),)) if frame is None else frame
+        frame = Frame([(dim, 1)]) if frame is None else frame
         if frame.dim != dim:
             raise ValueError(f"frame of dimension {frame.dim} on a block of dimension {dim}")
         self._admit(0, 0, frame.entries)
@@ -204,10 +207,7 @@ class SdpProblem:
         rejected before the call, and a call that fails counts nothing."""
         held, m, width = self._held + entries, self._rows + rows, self._width + columns
         need = 16 * (held + m * width)
-        if need > MAX_PROGRAM_BYTES:
-            tenths = (20 * need + 2**30) // 2**31  # in integers: a float overflows at many uses
-            raise ValueError(f"the program needs {tenths // 10}.{tenths % 10} GiB of constraint "
-                             f"coefficients, over the {MAX_PROGRAM_BYTES / 2**30:.0f} GiB limit")
+        check_program_bytes(need)
         built = build()
         self._held, self._rows, self._width = held, m, width
         self.coefficient_bytes = need
@@ -223,21 +223,14 @@ class SdpProblem:
     def set_objective(self, k: int, c) -> None:
         self.objective[k] = self._check_coeff(k, c)
 
-    def add_constraint(self, coeffs: dict[int, np.ndarray], rhs: float, sense: str = "==") -> None:
-        """Add sum_k <coeffs[k], X_k> ``sense`` rhs. An inequality declares a
-        1x1 slack block s and is stored as the equality with +s ("<=") or
-        -s (">="); the row and the slack's column are admitted together."""
-        if sense not in SENSES:
-            raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
+    def add_constraint(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
+        """Add the equality sum_k <coeffs[k], X_k> = rhs. An inequality is
+        stated on a block declared for it: sum_k <A_k, X_k> <= rhs is this
+        row with +s on a 1x1 block s, and >= with -s."""
         if not coeffs:
             raise ValueError("constraint must touch at least one block")
         packed = {k: self._check_coeff(k, a) for k, a in coeffs.items()}
-        slack = int(sense != "==")
-        self._admit(1, sum(a.size for a in packed.values()) + slack, slack)
-        if slack:
-            self.block_dims.append(1)
-            self.frames.append(Frame((1,)))
-            packed[len(self.frames) - 1] = np.array([1.0 if sense == "<=" else -1.0], complex)
+        self._admit(1, sum(a.size for a in packed.values()), 0)
         self.constraints.append(LinearConstraint(packed, float(rhs)))
 
     def add_operator_equality(self, terms: dict[int, "callable"], basis: "Basis") -> None:
@@ -254,7 +247,7 @@ class SdpProblem:
         """
         if not terms:
             raise ValueError("constraint must touch at least one block")
-        rows = basis._size  # len() fails above sys.maxsize, where a rejection is due
+        rows = basis.size  # len() fails above sys.maxsize, where a rejection is due
         self.constraints += self._admit(
             rows, rows * sum(self._frame(k).entries for k in terms), 0,
             lambda: [LinearConstraint({k: self._check_coeff(k, adj(h))
@@ -271,10 +264,10 @@ class Basis:
     """
 
     def __init__(self, size: int, elements, frame: Frame | None = None):
-        self._size, self._elements, self.frame = size, elements, frame
+        self.size, self._elements, self.frame = size, elements, frame
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     def __iter__(self):
         return iter(self._elements())
@@ -425,7 +418,7 @@ def invariant_frame(dims: tuple[int, ...], n: int) -> Frame | None:
         groups.sort(key=lambda g: (-len(g), w[g[0]]))
         return v[:, np.concatenate(groups)]
 
-    return Frame._counted(runs, build)
+    return Frame(runs, build)
 
 
 def hermitian_basis(d: int) -> Basis:
@@ -466,8 +459,8 @@ VERIFY_GAP_TOL = 1e-7  # relative duality gap above which verify flags an optima
 
 def verify(problem: SdpProblem, solution: SdpSolution) -> VerifyReport:
     """Independently re-evaluate feasibility residuals and the duality gap.
-    Every row is an equality; an inequality's slack is a block of its row,
-    so the PSD check of that block covers the inequality."""
+    Every row is an equality and every inequality a block, so the row
+    residuals and the blocks' PSD checks cover the whole program."""
     findings: list[str] = []
     b_scale = 1.0 + max((abs(c.rhs) for c in problem.constraints), default=0.0)
     max_eq = 0.0

@@ -1,11 +1,11 @@
 """Primal-dual interior-point solver for dense Hermitian-block SDPs.
 
 Path-following with Nesterov-Todd scaling and a Mehrotra predictor-corrector
-step, on the standard equality form that ``SdpProblem`` stores
+step, on the standard form that ``SdpProblem`` holds
 
-    min sum_k <C_k, X_k>   s.t.   sum_k <A_ik, X_k> = b_i,   X_k >= 0,
+    min sum_k <C_k, X_k>   s.t.   sum_k <A_ik, X_k> = b_i,   X_k >= 0:
 
-an inequality row's slack being one of its declared blocks.
+equality rows only, every inequality being one of the declared blocks.
 
 Every block is solved as the diagonal sub-blocks of its frame: its
 objective and coefficients are block-diagonal there, so only those
@@ -46,8 +46,6 @@ roundoff. The solve is deterministic for identical input data.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .. import linalg
@@ -72,8 +70,8 @@ class _StandardForm:
     Stack g holds the N sub-blocks of size ``sizes[g]``, in the problem's
     order: ``block_of[g]`` is each member's problem block, ``C[g]`` the
     (N, s, s) objective and ``A[g]`` every row's coefficients, flattened
-    member by member to complex (m, N s²). ``place[k]`` lists, for each run
-    of equal sizes in block k's frame, its stack and two slices: the
+    member by member to complex (m, N s²). ``place[k]`` lists, for each
+    (size, count) run of block k's frame, its stack and two slices: the
     columns of A and the entries of the block's packed coefficients.
 
     ``A`` is the only copy of the coefficients the solver holds, 16 bytes
@@ -89,11 +87,11 @@ class _StandardForm:
         self.sizes, block_of, self.place = [], [], []
         for k, frame in enumerate(self.frames):
             place, start = [], 0
-            for s, run in itertools.groupby(frame.sizes):
+            for s, count in frame.runs:
                 if s not in self.sizes:
                     self.sizes.append(s)
                     block_of.append([])
-                g, count = self.sizes.index(s), len(list(run))
+                g = self.sizes.index(s)
                 col, width = len(block_of[g]) * s * s, count * s * s
                 place.append((g, slice(col, col + width), slice(start, start + width)))
                 block_of[g] += [k] * count
@@ -246,9 +244,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     progress stops first, and an infeasibility status when the iterates
     produce a diverging certificate. A solve that stops without reaching
     the tolerances returns the last iterate that met the looser end-point
-    contract (``_meets_contract``) as "optimal". Every declared block, an
-    inequality's slack included, is returned full size, reassembled from
-    its sub-blocks.
+    contract (``_meets_contract``) as "optimal". Every declared block is
+    returned full size, reassembled from its sub-blocks.
     """
     sf = _StandardForm(problem)
     m = sf.m

@@ -107,7 +107,7 @@ class TestEaBound:
         # optimised input; every inequality is a block with no rows of its own.
         # A fixed input takes all d_ab² = 256 Hermitian coordinates of R; an
         # optimised one the 136 + 10 permutation-invariant ones of R and rho_ref.
-        # The lambda row declares its 1x1 slack, the last block
+        # The lambda row's 1x1 block lambda >= 0 is declared with it, the last block
         chan = tensor_power(DEPOL, 2)
         ppt_blocks = [16, 16] if cls is TestClass.PPT else []
         fixed = bounds._ea_problem((4, 4), lambda: chan.choi, 0.05, cls,
@@ -185,10 +185,10 @@ class TestProgramLimits:
         # the problem's rows, 16 bytes per packed entry: each of the 136 R rows
         # on the AB blocks (10² + 6² entries each), the adversary's block
         # (3² + 1) and the acceptance block, the lambda row on the adversary's
-        # block and its slack, and each of the 10 rho_ref rows on the caps,
-        # the rho_ref block (3² + 1) and the trace block; the solver's copy,
-        # 16 bytes per row and entry: 147 rows on every block's entries, the
-        # lambda slack's block included
+        # block and the block lambda >= 0, and each of the 10 rho_ref rows on
+        # the caps, the rho_ref block (3² + 1) and the trace block; the
+        # solver's copy, 16 bytes per row and entry: 147 rows on every block's
+        # entries, the lambda block's included
         (TestClass.ALL, 16 * (136 * (2 * 136 + 11) + (10 + 1) + 10 * (136 + 11))
          + 16 * 147 * (2 * 136 + 2 * 11 + 1)),
         (TestClass.PPT, 16 * (136 * (4 * 136 + 11) + (10 + 1) + 10 * (2 * 136 + 11))
@@ -234,10 +234,10 @@ class TestProgramLimits:
         # sub-blocks of 45, 45, 45, 35, 20, 20, 15, 15, 15 and 1 (8,776 packed
         # entries), the adversary's 16 x 16 block, split into 5, 3, 3, 3, 1
         # and 1 (54 entries), and the acceptance block; the lambda row on the
-        # adversary's block and its slack; and 35 rho_ref rows on the cap, the
-        # rho_ref block (split as the adversary's) and the trace block. The
-        # problem keeps 16 bytes per packed entry of each row, the solver 16
-        # per row and entry over all 3,912 rows, the lambda slack's block
+        # adversary's block and the block lambda >= 0; and 35 rho_ref rows on
+        # the cap, the rho_ref block (split as the adversary's) and the trace
+        # block. The problem keeps 16 bytes per packed entry of each row, the
+        # solver 16 per row and entry over all 3,912 rows, the lambda block's
         # included. About 2.05 GiB: admitted, with no operator row built
         class Admitted(Exception):
             pass
@@ -287,11 +287,12 @@ class TestProgramLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("n", [16, 400])
     @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
-    def test_sixteen_optimised_uses_are_rejected_from_closed_forms(self, monkeypatch, cls):
-        # the AB frame of sixteen uses has 7.0e6 Schur-Weyl sub-blocks; its
-        # size comes from one (size, count) run per irrep, and the program is
-        # rejected without listing them
+    def test_sixteen_optimised_uses_are_rejected_from_closed_forms(self, monkeypatch, cls, n):
+        # the C(n + 15, 15) R rows alone are over the limit, and that is checked
+        # before any frame is sized: the AB frame of sixteen uses has 7.0e6
+        # Schur-Weyl sub-blocks, and summing its runs at 400 uses takes seconds
         def unbuilt(*args):
             raise AssertionError("tensor_power ran for a rejected program")
 
@@ -300,7 +301,7 @@ class TestProgramLimits:
         start = time.perf_counter()
         try:
             with pytest.raises(ValueError, match="GiB"):
-                ea_bound_opt_rho(DEPOL, 0.05, cls, n=16)
+                ea_bound_opt_rho(DEPOL, 0.05, cls, n=n)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -350,12 +350,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra", [["--n", "16"], ["--n", "140"],
                                        ["--rho", "optimize", "--n", "20"],
-                                       ["--rho", "optimize", "--n", "100"]])
+                                       ["--rho", "optimize", "--n", "100"],
+                                       ["--rho", "optimize", "--n", "400"]])
     def test_many_uses_are_2_with_the_size_message(self, tmp_path, monkeypatch, capsys, extra):
         # sixteen fixed uses have more Hermitian rows than len() counts, 140
         # need more GiB than a float holds, and the optimised programs have
-        # more Schur-Weyl sub-blocks than memory holds: each is sized in
-        # closed form and rejected before the channel
+        # more Schur-Weyl sub-blocks than memory holds and R rows over the
+        # limit, checked before the frames: each is sized in closed form and
+        # rejected before the channel
         def unbuilt(*args):
             raise AssertionError("tensor_power ran for a rejected program")
 

@@ -209,9 +209,9 @@ class TestQuantumNp:
             t0, t1 = rand_state(rng, dim), rand_state(rng, dim)
             eps = float(rng.uniform(0.02, 0.6))
             spectral = quantum_np_beta(t0, t1, eps).beta
-            prob = sdp.SdpProblem([dim, dim])  # T and I - T
+            prob = sdp.SdpProblem([dim, dim, 1])  # T, I - T and <t0, T> - (1 - eps)
             prob.set_objective(0, t1.mat)
-            prob.add_constraint({0: t0.mat}, 1.0 - eps, ">=")
+            prob.add_constraint({0: t0.mat, 2: [[-1.0]]}, 1.0 - eps)
             operator_equality(prob, {0: lambda h: h, 1: lambda h: h},
                               np.eye(dim, dtype=complex))
             sol = sdp.solve(prob)

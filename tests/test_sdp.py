@@ -15,9 +15,10 @@ from qconv.sdp.solver import _ct, _eigh, _max_step, _nt_scaling, _schur, _Standa
 
 
 def _scalar_lower_bound_problem():
-    prob = SdpProblem([1])
+    # min x s.t. x >= 1, the row x - s = 1 on a 1x1 block s
+    prob = SdpProblem([1, 1])
     prob.set_objective(0, [[1.0]])
-    prob.add_constraint({0: [[1.0]]}, 1.0, ">=")
+    prob.add_constraint({0: [[1.0]], 1: [[-1.0]]}, 1.0)
     return prob
 
 
@@ -43,7 +44,7 @@ def _random_strictly_feasible(rng, dims, m):
     for k, d in enumerate(dims):
         prob.set_objective(k, S0[k] + sum(y0[i] * A[i][k] for i in range(m)))
     for i in range(m):
-        prob.add_constraint({k: A[i][k] for k in range(len(dims))}, b[i], "==")
+        prob.add_constraint({k: A[i][k] for k in range(len(dims))}, b[i])
     return prob
 
 
@@ -65,7 +66,7 @@ class TestClosedFormFixtures:
         c = np.array([[1.0, 2j], [-2j, -1.0]])
         prob = SdpProblem([2])
         prob.set_objective(0, c)
-        prob.add_constraint({0: np.eye(2)}, 1.0, "==")
+        prob.add_constraint({0: np.eye(2)}, 1.0)
         sol = solve(prob)
         assert sol.primal_objective == pytest.approx(np.linalg.eigvalsh(c).min(), abs=1e-7)
 
@@ -119,21 +120,22 @@ class TestClosedFormFixtures:
             np.abs(np.linalg.eigvalsh(a)).sum(), abs=1e-7)
 
     def test_linear_program_chain(self):
-        # min x + 2y s.t. x + y >= 1, x, y >= 0 -> 1
-        prob = SdpProblem([1, 1])
+        # min x + 2y s.t. x + y >= 1, x, y >= 0 -> 1; the row is x + y - s = 1
+        prob = SdpProblem([1, 1, 1])
         prob.set_objective(0, [[1.0]])
         prob.set_objective(1, [[2.0]])
-        prob.add_constraint({0: [[1.0]], 1: [[1.0]]}, 1.0, ">=")
+        prob.add_constraint({0: [[1.0]], 1: [[1.0]], 2: [[-1.0]]}, 1.0)
         sol = solve(prob)
         assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
 
     def test_equal_state_hypothesis_test(self):
-        # min <tau, T> s.t. <tau, T> >= 1 - eps, 0 <= T <= I -> 1 - eps
+        # min <tau, T> s.t. <tau, T> >= 1 - eps, 0 <= T <= I -> 1 - eps; the
+        # first row is <tau, T> - s = 1 - eps on a 1x1 block s
         tau = np.diag([0.6, 0.4]).astype(complex)
         eps = 0.3
-        prob = SdpProblem([2, 2])
+        prob = SdpProblem([2, 2, 1])
         prob.set_objective(0, tau)
-        prob.add_constraint({0: tau}, 1.0 - eps, ">=")
+        prob.add_constraint({0: tau, 2: [[-1.0]]}, 1.0 - eps)
         operator_equality(prob, {0: lambda h: h, 1: lambda h: h}, np.eye(2))
         sol = solve(prob)
         assert sol.primal_objective == pytest.approx(1.0 - eps, abs=1e-7)
@@ -144,7 +146,7 @@ class TestClosedFormFixtures:
         prob = SdpProblem([1, 1, 1])
         for k, ck in enumerate(c):
             prob.set_objective(k, [[ck]])
-        prob.add_constraint({0: [[1.0]], 1: [[1.0]], 2: [[1.0]]}, 1.0, "==")
+        prob.add_constraint({0: [[1.0]], 1: [[1.0]], 2: [[1.0]]}, 1.0)
         sol = solve(prob)
         assert sol.primal_objective == pytest.approx(min(c), abs=1e-7)
 
@@ -174,7 +176,7 @@ class TestSolverContracts:
             scaled.set_objective(k, 7.5 * prob.frames[k].unpack(c))
         for con in prob.constraints:
             scaled.add_constraint({k: prob.frames[k].unpack(a) for k, a in con.coeffs.items()},
-                                  con.rhs, con.sense)
+                                  con.rhs)
         sol2 = solve(scaled)
         assert sol2.primal_objective == pytest.approx(7.5 * sol1.primal_objective, rel=1e-6)
         assert np.abs(sol1.primal_blocks[0] - sol2.primal_blocks[0]).max() < 1e-6 * (
@@ -197,7 +199,7 @@ class TestSolverContracts:
         build = _depol_ppt_program if program == "optimised" else _depol_fixed_program
         prob = build(0.05)
         coeffs = [{k: a.copy() for k, a in con.coeffs.items()} for con in prob.constraints]
-        rows = [(con.rhs, con.sense) for con in prob.constraints]
+        rows = [con.rhs for con in prob.constraints]
         objective = {k: c.copy() for k, c in prob.objective.items()}
 
         def same(sol1, sol2):
@@ -207,7 +209,7 @@ class TestSolverContracts:
             assert sol1.iterations == sol2.iterations
 
         def unchanged():
-            assert [(con.rhs, con.sense) for con in prob.constraints] == rows
+            assert [con.rhs for con in prob.constraints] == rows
             for con, before in zip(prob.constraints, coeffs, strict=True):
                 assert con.coeffs.keys() == before.keys()
                 assert all(np.array_equal(con.coeffs[k], a) for k, a in before.items())
@@ -229,13 +231,13 @@ class TestSolverContracts:
     def test_primal_infeasible_detected(self):
         prob = SdpProblem([1])
         prob.set_objective(0, [[1.0]])
-        prob.add_constraint({0: [[1.0]]}, -1.0, "==")
+        prob.add_constraint({0: [[1.0]]}, -1.0)
         assert solve(prob).status == "primal-infeasible"
 
     def test_dual_infeasible_detected(self):
         prob = SdpProblem([1, 1])
         prob.set_objective(0, [[-1.0]])
-        prob.add_constraint({1: [[1.0]]}, 1.0, "==")
+        prob.add_constraint({1: [[1.0]]}, 1.0)
         assert solve(prob).status == "dual-infeasible"
 
     def test_singular_schur_system_falls_back_to_least_squares(self, monkeypatch):
@@ -248,7 +250,7 @@ class TestSolverContracts:
         prob.set_objective(0, [[1.0]])
         prob.set_objective(1, [[2.0]])
         for _ in range(2):
-            prob.add_constraint({0: [[1.0]], 1: [[1.0]]}, 1.0, "==")
+            prob.add_constraint({0: [[1.0]], 1: [[1.0]]}, 1.0)
         sol = solve(prob)
         assert sol.status == "optimal"
         assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
@@ -256,7 +258,7 @@ class TestSolverContracts:
 
     def test_program_without_objective(self):
         prob = SdpProblem([2])
-        prob.add_constraint({0: np.eye(2)}, 1.0, "==")
+        prob.add_constraint({0: np.eye(2)}, 1.0)
         sol = solve(prob)
         assert sol.status == "optimal"
         assert abs(sol.primal_objective) <= 1e-8
@@ -437,8 +439,8 @@ class TestVerify:
     def test_perturbed_solution_flagged(self):
         prob = _scalar_lower_bound_problem()
         sol = solve(prob)
-        # the ">=" row is x - s = 1 on its slack block s: at x = 0.9, s = 0 it
-        # is an equality violated by 0.1
+        # the row is x - s = 1 on the 1x1 block s: at x = 0.9, s = 0 it is
+        # violated by 0.1
         sol.primal_blocks[0] = np.array([[0.9]], dtype=complex)
         sol.primal_blocks[1] = np.array([[0.0]], dtype=complex)
         report = verify(prob, sol)
@@ -484,8 +486,7 @@ def _classical_program(p=None):
 
 def _members(prob):
     """Every sub-block of the program as the solver orders it, (size, block,
-    offset in the block's packed coefficients), over the declared blocks:
-    an inequality row's slack is one of them."""
+    offset in the block's packed coefficients), over the declared blocks."""
     out = []
     for k, frame in enumerate(prob.frames):
         sizes = frame.sizes
@@ -679,7 +680,7 @@ class TestVectorBlocks:
             rotated.set_objective(k, rotate(k, c))
         for con in prob.constraints:
             rotated.add_constraint({k: rotate(k, a) for k, a in con.coeffs.items()},
-                                   con.rhs, con.sense)
+                                   con.rhs)
         assert _StandardForm(prob).sizes == [1]
         assert _StandardForm(rotated).sizes == [1, 9]
         sol, sol_rot = solve(prob), solve(rotated)
@@ -721,7 +722,7 @@ class TestDeclaredBlocks:
     def test_standard_basis_frame(self, rng):
         # a frame without a unitary keeps the entries of its groups' diagonal
         # blocks, 2² + 1 + 2² of them, and rejects mass off those blocks
-        frame = Frame((2, 1, 2))
+        frame = Frame([(2, 1), (1, 1), (2, 1)])
         x = np.zeros((5, 5), dtype=complex)
         groups = (slice(0, 2), slice(2, 3), slice(3, 5))
         for c in groups:
@@ -737,9 +738,10 @@ class TestDeclaredBlocks:
             SdpProblem([5], [frame]).add_constraint({0: off}, 1.0)
 
     def test_standard_basis_frame_solves_its_groups(self, rng):
-        # the block of Frame((2, 1, 2)) has two runs of size 2 around one of
-        # size 1; solved as those sub-blocks it has the optimum of the three
-        # blocks 2, 1 and 2 declared apart, and comes back block-diagonal
+        # the block of Frame([(2, 1), (1, 1), (2, 1)]) has two runs of size 2
+        # around one of size 1; solved as those sub-blocks it has the optimum
+        # of the three blocks 2, 1 and 2 declared apart, and comes back
+        # block-diagonal
         groups = (slice(0, 2), slice(2, 3), slice(3, 5))
         parts = [[_random_hermitian(rng, c.stop - c.start) for c in groups] for _ in range(4)]
         objective = [_random_hermitian(rng, c.stop - c.start, definite=True) for c in groups]
@@ -750,16 +752,20 @@ class TestDeclaredBlocks:
                 x[c, c] = b
             return x
 
-        framed = SdpProblem([5], [Frame((2, 1, 2))])
-        apart = SdpProblem([2, 1, 2])
+        framed = SdpProblem([5, 1], [Frame([(2, 1), (1, 1), (2, 1)]), None])
+        apart = SdpProblem([2, 1, 2, 1])
         framed.set_objective(0, whole(objective))
         for k, c in enumerate(objective):
             apart.set_objective(k, c)
         for i, row in enumerate(parts):
-            # each row pins <A_i, X> to that of the identity, so X = I is feasible
+            # each row pins <A_i, X> to that of the identity, so X = I is
+            # feasible; the first only bounds it above, through the last block
             rhs = sum(float(np.trace(a).real) for a in row)
-            framed.add_constraint({0: whole(row)}, rhs, "<=" if i == 0 else "==")
-            apart.add_constraint(dict(enumerate(row)), rhs, "<=" if i == 0 else "==")
+            framed_row, apart_row = {0: whole(row)}, dict(enumerate(row))
+            if i == 0:
+                framed_row[1] = apart_row[3] = [[1.0]]
+            framed.add_constraint(framed_row, rhs)
+            apart.add_constraint(apart_row, rhs)
         assert _StandardForm(framed).sizes == _StandardForm(apart).sizes == [2, 1]
         sol, sol_apart = solve(framed), solve(apart)
         assert sol.status == sol_apart.status == "optimal"
@@ -768,10 +774,10 @@ class TestDeclaredBlocks:
         assert np.count_nonzero(x - whole([x[c, c] for c in groups])) == 0
 
     def test_block_without_a_frame_is_one_group(self, rng):
-        # add_block(d) stores Frame((d,)): the same standard form and the same
-        # solution, bit for bit, as declaring that frame
+        # add_block(d) stores Frame([(d, 1)]): the same standard form and the
+        # same solution, bit for bit, as declaring that frame
         base = _random_strictly_feasible(rng, [3, 2], 4)
-        probs = [SdpProblem([3, 2]), SdpProblem([3, 2], [Frame((3,)), Frame((2,))])]
+        probs = [SdpProblem([3, 2]), SdpProblem([3, 2], [Frame([(3, 1)]), Frame([(2, 1)])])]
         for prob in probs:
             for k, c in base.objective.items():
                 prob.set_objective(k, base.frames[k].unpack(c))
@@ -785,45 +791,6 @@ class TestDeclaredBlocks:
                           (sf.block_of, sf_framed.block_of)):
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         _same_solution(solve(probs[0]), solve(probs[1]))
-
-    @pytest.mark.parametrize("sense", ["<=", ">="])
-    def test_inequality_is_its_slack_block(self, sense):
-        # a "<=" row bounds Tr X above on a block with a negative eigenvalue in
-        # its objective, a ">=" row below on a positive one; declaring the 1x1
-        # slack by hand, with coefficient +1 or -1, solves the same, bit for bit
-        c = np.array([[1.0, 0.5 - 0.5j], [0.5 + 0.5j, -1.0]]) if sense == "<=" \
-            else np.array([[1.0, 0.2j], [-0.2j, 2.0]])
-        sign = 1.0 if sense == "<=" else -1.0
-        declared = SdpProblem([2])
-        declared.set_objective(0, c)
-        declared.add_constraint({0: np.eye(2)}, 1.0, sense)
-        by_hand = SdpProblem([2, 1])
-        by_hand.set_objective(0, c)
-        by_hand.add_constraint({0: np.eye(2), 1: [[sign]]}, 1.0)
-        assert declared.block_dims == by_hand.block_dims == [2, 1]
-        assert [con.sense for con in declared.constraints] == ["=="]
-        assert declared.coefficient_bytes == by_hand.coefficient_bytes
-        sol = solve(declared)
-        _same_solution(sol, solve(by_hand))
-        assert sol.primal_objective == pytest.approx(np.linalg.eigvalsh(c).min(), abs=1e-7)
-
-    @pytest.mark.parametrize("sense", ["<=", ">="])
-    def test_rejected_inequality_declares_no_block(self, monkeypatch, sense):
-        # the row and its slack's column are admitted together: a row over the
-        # budget leaves the blocks, the rows and the count as they were
-        prob = SdpProblem([2])
-        prob.add_constraint({0: np.eye(2)}, 1.0)
-        # 16 bytes per held entry (4, then 4 + 1), and per row and column (2 x 5)
-        need = 16 * (4 + 5 + 2 * (4 + 1))
-        before = prob.coefficient_bytes
-        monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", need - 1)
-        with pytest.raises(ValueError, match="GiB"):
-            prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.5, sense)
-        assert prob.block_dims == [2] and len(prob.frames) == 1 and len(prob.constraints) == 1
-        assert prob.coefficient_bytes == before
-        monkeypatch.setattr("qconv.sdp.problem.MAX_PROGRAM_BYTES", need)
-        prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.5, sense)
-        assert prob.block_dims == [2, 1] and prob.coefficient_bytes == need
 
 
 class TestSizeGuard:
@@ -844,14 +811,14 @@ class TestSizeGuard:
 
     @staticmethod
     def _program():
-        # 4 equality rows on blocks of 2 and 3 and on a 1x1 block, and a "<="
-        # and a ">=" row, each of which declares a 1x1 slack block
+        # 4 rows on blocks of 2 and 3 and on a 1x1 block, then Tr X_0 <= 1 and
+        # Tr X_1 >= 0.5, each a row on a 1x1 block declared just before it
         prob = SdpProblem([2, 3, 1])
         prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1)),
                                     2: lambda h: np.real(np.trace(h)) * np.eye(1)},
                                    hermitian_basis(2))
-        prob.add_constraint({0: np.eye(2)}, 1.0, "<=")
-        prob.add_constraint({1: np.eye(3)}, 0.5, ">=")
+        prob.add_constraint({0: np.eye(2), prob.add_block(1): [[1.0]]}, 1.0)
+        prob.add_constraint({1: np.eye(3), prob.add_block(1): [[-1.0]]}, 0.5)
         return prob
 
     @staticmethod
@@ -862,8 +829,8 @@ class TestSizeGuard:
 
     def test_count_is_the_bytes_held(self):
         # 16 bytes per entry here: 4 rows of 4 + 9 + 1 entries, then 4 and 9,
-        # each with its slack's entry; 16 bytes per row and entry in the
-        # solver: 6 rows on 14 entries and the 2 slack blocks
+        # each with its 1x1 block's entry; 16 bytes per row and entry in the
+        # solver: 6 rows on 14 entries and the two 1x1 blocks
         prob = self._program()
         assert prob.coefficient_bytes == self._held(prob) == \
             16 * (4 * 14 + (4 + 1) + (9 + 1)) + 16 * 6 * (14 + 2)
@@ -892,29 +859,36 @@ def _declared(prob: SdpProblem):
 
 class TestDeclarationChecks:
     @pytest.mark.parametrize("dims,frames", [([], None), ([2, 0], None), ([2, 1], [None]),
-                                             ([3], [Frame((2,))])])
+                                             ([3], [Frame([(2, 1)])])])
     def test_constructor_rejects_its_blocks(self, dims, frames):
         with pytest.raises(ValueError):
             SdpProblem(dims, frames)
 
+    @pytest.mark.parametrize("runs", [
+        [(2, 1), (0, 1), (1, 1)], [(2, 1), (-1, 1), (2, 1)], [(3, 0)], [(1, -1), (2, 2)]])
+    def test_frame_rejects_runs_below_one(self, runs):
+        # a group of no columns, or a run of no groups, would size a block
+        # that the solver cannot lay out
+        with pytest.raises(ValueError, match=">= 1"):
+            Frame(runs)
+
     @pytest.mark.parametrize("declare", [
         lambda prob: prob.add_block(0),
-        lambda prob: prob.add_block(2, Frame((1, 1, 1))),
+        lambda prob: prob.add_block(2, Frame([(1, 3)])),
         lambda prob: prob.set_objective(7, np.eye(2)),
         lambda prob: prob.set_objective(0, np.eye(3)),
         lambda prob: prob.set_objective(0, [[0.0, 1.0], [0.0, 0.0]]),
         lambda prob: prob.add_constraint({7: np.eye(2)}, 1.0),
         lambda prob: prob.add_constraint({0: np.eye(3)}, 1.0),
-        lambda prob: prob.add_constraint({0: np.eye(2), 1: [[1.0, 0.0]]}, 1.0, "<="),
-        lambda prob: prob.add_constraint({0: [[0.0, 1.0], [0.0, 0.0]]}, 1.0, ">="),
-        lambda prob: prob.add_constraint({0: np.eye(2)}, 1.0, "<"),
+        lambda prob: prob.add_constraint({0: np.eye(2), 1: [[1.0, 0.0]]}, 1.0),
+        lambda prob: prob.add_constraint({0: [[0.0, 1.0], [0.0, 0.0]]}, 1.0),
         lambda prob: prob.add_constraint({}, 1.0),
         lambda prob: prob.add_operator_equality({}, hermitian_basis(2)),
         lambda prob: prob.add_operator_equality({0: lambda h: h, 7: lambda h: h},
                                                 hermitian_basis(2)),
         lambda prob: prob.add_operator_equality({1: lambda h: h}, hermitian_basis(2))])
     def test_rejected_declaration_changes_nothing(self, declare):
-        # blocks 0..4 have dimensions 2, 3, 1, 1, 1 (two slacks); 7 is unknown
+        # blocks 0..4 have dimensions 2, 3, 1, 1, 1; 7 is unknown
         prob = TestSizeGuard._program()
         prob.set_objective(0, np.eye(2))
         before = _declared(prob)
