@@ -1,6 +1,7 @@
-"""Dense complex linear algebra for finite-dimensional quantum systems.
+"""Dense linear algebra for finite-dimensional quantum systems.
 
-All operators are numpy arrays of complex128 in row-major layout. Bipartite
+Operators are numpy arrays in row-major layout: complex128, or float64 when
+they are real. Each function keeps a real input real. Bipartite
 operators on a pair of subsystems with dimensions ``dims = (da, db)`` index
 the joint space as ``i = a * db + b``, so the first factor is the slow index.
 """
@@ -14,11 +15,12 @@ SUPPORT_RTOL = 1e-12  # eigenvalues below this fraction of the largest count as 
 
 
 def require_matrix(x: np.ndarray) -> np.ndarray:
-    """Coerce to a finite complex 2-D array."""
-    x = np.asarray(x, dtype=complex)
+    """Coerce to a finite 2-D array: complex128 if ``x`` is complex, else float64."""
+    x = np.asarray(x)
+    x = x.astype(complex if np.iscomplexobj(x) else float, copy=False)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={x.ndim}")
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
+    if not np.all(np.isfinite(x)):
         raise ValueError("matrix has non-finite entries")
     return x
 

@@ -19,12 +19,12 @@ MAX_TENSOR_BYTES = 2**30  # Kraus operators plus Choi matrix that tensor_power m
 
 
 class DensityMatrix:
-    """Positive semidefinite, unit-trace Hermitian operator."""
+    """Positive semidefinite, unit-trace Hermitian operator, held as complex128."""
 
     __slots__ = ("mat", "dim")
 
     def __init__(self, mat: np.ndarray, atol: float = STATE_ATOL):
-        mat = linalg.require_hermitian(mat)
+        mat = linalg.require_hermitian(np.asarray(mat, dtype=complex))
         w = np.linalg.eigvalsh(mat)
         if w.min() < -atol:
             raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
@@ -69,7 +69,7 @@ def canonical_purification(rho: DensityMatrix) -> DensityMatrix:
 
 
 class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form.
+    """Completely positive trace-preserving map in Kraus form, held as complex128.
 
     The Choi operator ``(id ⊗ E)(Φ)`` on (reference ⊗ output) is computed
     once at construction and cached.
@@ -78,7 +78,7 @@ class QuantumChannel:
     __slots__ = ("dim_in", "dim_out", "kraus", "choi")
 
     def __init__(self, kraus: list[np.ndarray], atol: float = STATE_ATOL):
-        kraus = [linalg.require_matrix(m) for m in kraus]
+        kraus = [linalg.require_matrix(np.asarray(m, dtype=complex)) for m in kraus]
         if not kraus:
             raise ValueError("need at least one Kraus operator")
         dim_out, dim_in = kraus[0].shape

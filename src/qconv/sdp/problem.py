@@ -1,4 +1,4 @@
-"""Standard-form semidefinite programs over Hermitian blocks.
+"""Standard-form semidefinite programs over Hermitian or real symmetric blocks.
 
 A problem holds PSD variable blocks X_k and scalar equality rows
 
@@ -19,7 +19,14 @@ rows of its own; the converse programs in ``bounds`` use this form. A
 basis, the diagonal one, or the permutation-invariant one of n uses, whose
 span holds an optimum when the program's data is invariant (Gatermann &
 Parrilo, *Symmetry groups, semidefinite programs, and sums of squares*,
-JPAA 2004).
+JPAA 2004). Complex conjugation is such a symmetry of a program whose data
+is real, so a basis can also give its real sub-basis, whose span is the real
+symmetric operators it holds (de Klerk, Pasechnik & Schrijver, Math.
+Program. 2007).
+
+A problem has one dtype: complex, or float64 when every coefficient is real
+symmetric. Its coefficients are stored, and solved, in that dtype, so a
+real program runs its solve in real arithmetic.
 
 A block may be declared with a ``Frame``: an orthonormal basis of its space
 in which every coefficient on the block, and its objective, is
@@ -36,8 +43,9 @@ each size, 1x1 blocks and 1x1 sub-blocks alike, and holds every row's
 coefficients on a stack as one dense matrix.
 
 A problem counts, as its rows are declared, the coefficient bytes it will
-hold during a solve, and rejects rows that would take the program over
-MAX_PROGRAM_BYTES before building any of their coefficients.
+hold during a solve (16 per complex entry, 8 per real one), and rejects
+rows that would take the program over MAX_PROGRAM_BYTES before building
+any of their coefficients.
 """
 
 from __future__ import annotations
@@ -87,7 +95,7 @@ class Frame:
     U (X_1 ⊕ ... ⊕ X_r) Uᵀ. ``build()`` returns U, real orthogonal, and is
     called on first use of ``unitary``; a frame without it is the standard
     basis in its groups, so one group is a whole block and 1x1 groups are a
-    diagonal one.
+    diagonal one. Packing and unpacking keep the dtype of their input.
     """
 
     def __init__(self, runs, build=None):
@@ -144,7 +152,7 @@ class Frame:
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """The d x d operator whose packed sub-blocks are ``packed``."""
-        x = np.zeros(self.dim * self.dim, dtype=complex)
+        x = np.zeros(self.dim * self.dim, dtype=packed.dtype)
         x[self._index] = packed
         x = x.reshape(self.dim, self.dim)
         u = self.unitary
@@ -161,20 +169,26 @@ class SdpProblem:
 
     ``frames[k]`` is block k's ``Frame``; a block declared without one gets
     ``Frame([(d, 1)])``, the whole block. Every coefficient is stored packed
-    in its block's frame. Every row is an equality, and every inequality is
-    a declared block: a scalar one is a 1x1 block.
+    in its block's frame, in the problem's ``dtype``: complex, or float64
+    for a program over real symmetric blocks, whose coefficients must then
+    be real. Every row is an equality, and every inequality is a declared
+    block: a scalar one is a 1x1 block.
 
     ``coefficient_bytes`` is what the declared rows will hold during a
     solve, and it is exact. Each row keeps its own packed coefficients
-    here, 16 bytes per entry. The solver keeps a second copy, dense over
-    every row and block: 16·m·P bytes for m rows and P packed entries over
-    all blocks (sum s² over their sub-blocks). So a row costs the solver
-    16·P bytes, and a block added after m rows 16·m·sum s².
+    here, e bytes per entry: 16 complex, 8 real. The solver keeps a second
+    copy, dense over every row and block: e·m·P bytes for m rows and P
+    packed entries over all blocks (sum s² over their sub-blocks). So a row
+    costs the solver e·P bytes, and a block added after m rows e·m·sum s².
     """
 
-    def __init__(self, block_dims: list[int], frames: list[Frame | None] | None = None):
+    def __init__(self, block_dims: list[int], frames: list[Frame | None] | None = None,
+                 dtype=complex):
         if not block_dims:
             raise ValueError(f"invalid block dimensions {block_dims}")
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.complex128, np.float64):
+            raise ValueError(f"a problem is complex128 or float64, not {self.dtype}")
         self.block_dims: list[int] = []
         self.frames: list[Frame] = []
         self.objective: dict[int, np.ndarray] = {}
@@ -206,7 +220,7 @@ class SdpProblem:
         entries), and return ``build()``: a program over MAX_PROGRAM_BYTES is
         rejected before the call, and a call that fails counts nothing."""
         held, m, width = self._held + entries, self._rows + rows, self._width + columns
-        need = 16 * (held + m * width)
+        need = self.dtype.itemsize * (held + m * width)
         check_program_bytes(need)
         built = build()
         self._held, self._rows, self._width = held, m, width
@@ -215,7 +229,12 @@ class SdpProblem:
 
     def _check_coeff(self, k: int, a) -> np.ndarray:
         frame = self._frame(k)
-        a = np.atleast_2d(np.asarray(a, dtype=complex))
+        a = np.atleast_2d(np.asarray(a))
+        if np.iscomplexobj(a) and self.dtype == np.float64:
+            if np.any(a.imag):
+                raise ValueError("a real program's coefficient has an imaginary part")
+            a = a.real
+        a = a.astype(self.dtype, copy=False)
         if a.shape != (frame.dim, frame.dim):
             raise ValueError(f"coefficient shape {a.shape} does not match block dim {frame.dim}")
         return frame.pack(linalg.require_hermitian(a, rtol=1e-10))
@@ -260,11 +279,13 @@ class Basis:
     Its length is known in closed form; iterating builds the elements one
     at a time, so a program can be sized, and rejected, before any exists.
     ``frame`` is a ``Frame`` in which every element is block-diagonal, or
-    None.
+    None. ``dtype`` is the elements' dtype: float64 when every element is
+    real symmetric, else complex.
     """
 
-    def __init__(self, size: int, elements, frame: Frame | None = None):
+    def __init__(self, size: int, elements, frame: Frame | None = None, dtype=complex):
         self.size, self._elements, self.frame = size, elements, frame
+        self.dtype = np.dtype(dtype)
 
     def __len__(self) -> int:
         return self.size
@@ -279,15 +300,15 @@ class Basis:
 
 def diagonal_basis(d: int) -> Basis:
     """The real diagonal d x d matrices: the span fixed by conjugation with
-    every diagonal unitary."""
+    every diagonal unitary. Its elements are real."""
 
     def elements():
         for i in range(d):
-            e = np.zeros((d, d), dtype=complex)
+            e = np.zeros((d, d))
             e[i, i] = 1.0
             yield e
 
-    return Basis(d, elements, diagonal_frame(d))
+    return Basis(d, elements, diagonal_frame(d), float)
 
 
 def _use_orbits(dims: tuple[int, ...], n: int) -> np.ndarray:
@@ -310,19 +331,40 @@ def _use_orbits(dims: tuple[int, ...], n: int) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1].reshape(size, size)
 
 
-def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
+def invariant_size(d: int, n: int, real: bool = False) -> int:
+    """The length of ``invariant_basis`` for D = ``d``, in closed form.
+
+    The basis has one element per orbit of n-tuples of the D² matrix units,
+    C(D² + n - 1, n) of them. Its real sub-basis keeps each orbit O equal to
+    its transpose and one element per pair O ≠ Oᵀ: (C(D² + n - 1, n) + F) / 2,
+    where F counts the orbits equal to their transposes, multisets of D
+    diagonal units and of the D(D - 1)/2 off-diagonal pairs {u, uᵀ}: the
+    coefficient of xⁿ in (1 - x)^-D (1 - x²)^-D(D-1)/2.
+    """
+    orbits = math.comb(d * d + n - 1, n)
+    if not real:
+        return orbits
+    pairs = d * (d - 1) // 2
+    fixed = sum(math.comb(d + n - 2 * k - 1, n - 2 * k) * (math.comb(pairs + k - 1, k) if k else 1)
+                for k in range(n // 2 + 1))
+    return (orbits + fixed) // 2
+
+
+def invariant_basis(dims: tuple[int, ...], n: int, real: bool = False) -> Basis:
     """Hermitian operators on n uses of C^d_1 ⊗ ... ⊗ C^d_f, stored as
     (C^d_1)^⊗n ⊗ ... ⊗ (C^d_f)^⊗n, that are invariant under permuting the
-    uses.
+    uses; with ``real``, the real symmetric ones among them.
 
     The elements are the orthonormalised orbit sums of matrix units: an
     orbit O equal to its transpose gives O/|O|^½, and a pair O ≠ Oᵀ gives
-    (O + Oᵀ) and i(O - Oᵀ), each over (2|O|)^½. There is one element per
-    orbit, C(D² + n - 1, n) for D = d_1···d_f. Elements come in the row-major
-    order of the first upper-triangular unit of their orbits. For n >= 2
-    the basis carries ``invariant_frame(dims, n)``.
+    (O + Oᵀ) and, unless ``real``, i(O - Oᵀ), each over (2|O|)^½. There
+    are ``invariant_size(D, n, real)`` elements for D = d_1···d_f, float64
+    with ``real`` and complex without. Elements come in the row-major order
+    of the first upper-triangular unit of their orbits. For n >= 2 the
+    basis carries ``invariant_frame(dims, n)``.
     """
     d_loc = math.prod(dims)
+    dtype = float if real else complex
 
     def elements():
         orbit = _use_orbits(dims, n)
@@ -331,7 +373,7 @@ def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
         for t in np.sort(np.unique(pair, return_index=True)[1]):
             o, o_t = orbit[rows[t], cols[t]], orbit[cols[t], rows[t]]
             mask = orbit == o
-            e = np.zeros(orbit.shape, dtype=complex)
+            e = np.zeros(orbit.shape, dtype=dtype)
             if o == o_t:
                 e[mask] = 1.0 / np.sqrt(np.count_nonzero(mask))
                 yield e
@@ -340,12 +382,14 @@ def invariant_basis(dims: tuple[int, ...], n: int) -> Basis:
             e[mask] = s
             e[mask.T] = s
             yield e
+            if real:
+                continue
             e = np.zeros(orbit.shape, dtype=complex)
             e[mask] = 1j * s
             e[mask.T] = -1j * s
             yield e
 
-    return Basis(math.comb(d_loc * d_loc + n - 1, n), elements, invariant_frame(dims, n))
+    return Basis(invariant_size(d_loc, n, real), elements, invariant_frame(dims, n), dtype)
 
 
 def _partitions(n: int, parts: int, largest: int):
@@ -421,11 +465,12 @@ def invariant_frame(dims: tuple[int, ...], n: int) -> Frame | None:
     return Frame(runs, build)
 
 
-def hermitian_basis(d: int) -> Basis:
+def hermitian_basis(d: int, real: bool = False) -> Basis:
     """All d x d Hermitian matrices, the one-use case of ``invariant_basis``:
     each diagonal unit, then for each i < j the symmetric and antisymmetric
-    pair, in row-major order."""
-    return invariant_basis((d,), 1)
+    pair, in row-major order; with ``real``, the real symmetric ones, without
+    the antisymmetric elements."""
+    return invariant_basis((d,), 1, real)
 
 
 @dataclass

@@ -19,8 +19,11 @@ So a split solve follows the central path of the unsplit one.
 The sub-blocks of one size s are one stack of N members, in the problem's
 order; every 1x1 block and 1x1 sub-block is a member of the s = 1 stack.
 A stack's objective, iterates, scaling point W and scaling factor G are
-(N, s, s) arrays, and every row's coefficients on it are one complex
-matrix A of shape (m, N s²), zero where the row does not touch a member.
+(N, s, s) arrays, and every row's coefficients on it are one matrix A of
+shape (m, N s²), zero where the row does not touch a member. All of them
+take the problem's dtype: complex, or float64 for a program over real
+symmetric blocks, which is then solved in real arithmetic throughout
+(eigendecompositions, Schur products and the LU alike), by the same code.
 So A(X), A*(y), NT scaling, the step length, the corrector, the Newton
 directions and the iterate update take one numpy call per stack. numpy
 rounds each member of a stacked product or eigendecomposition as it would
@@ -70,12 +73,14 @@ class _StandardForm:
     Stack g holds the N sub-blocks of size ``sizes[g]``, in the problem's
     order: ``block_of[g]`` is each member's problem block, ``C[g]`` the
     (N, s, s) objective and ``A[g]`` every row's coefficients, flattened
-    member by member to complex (m, N s²). ``place[k]`` lists, for each
-    (size, count) run of block k's frame, its stack and two slices: the
-    columns of A and the entries of the block's packed coefficients.
+    member by member to (m, N s²), in the problem's ``dtype``. ``place[k]``
+    lists, for each (size, count) run of block k's frame, its stack and two
+    slices: the columns of A and the entries of the block's packed
+    coefficients.
 
     ``A`` is the only copy of the coefficients the solver holds, 16 bytes
-    per row and entry, as ``SdpProblem`` counts it.
+    per row and entry when complex and 8 when real, as ``SdpProblem``
+    counts it.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -83,7 +88,7 @@ class _StandardForm:
             raise ValueError("problem must carry at least one constraint")
         self.m = len(problem.constraints)
         self.b = np.array([c.rhs for c in problem.constraints], dtype=float)
-        self.block_dims, self.frames = problem.block_dims, problem.frames
+        self.block_dims, self.frames, self.dtype = problem.block_dims, problem.frames, problem.dtype
         self.sizes, block_of, self.place = [], [], []
         for k, frame in enumerate(self.frames):
             place, start = [], 0
@@ -99,10 +104,10 @@ class _StandardForm:
             self.place.append(place)
         self.block_of = [np.array(k, dtype=np.intp) for k in block_of]
         widths = [len(k) * s * s for k, s in zip(block_of, self.sizes)]
-        self.A = [np.zeros((self.m, w), dtype=complex) for w in widths]
+        self.A = [np.zeros((self.m, w), dtype=self.dtype) for w in widths]
         for i, con in enumerate(problem.constraints):
             self._put([a[i] for a in self.A], con.coeffs)
-        C = [np.zeros(w, dtype=complex) for w in widths]
+        C = [np.zeros(w, dtype=self.dtype) for w in widths]
         self._put(C, problem.objective)
         self.C = [c.reshape(-1, s, s) for c, s in zip(C, self.sizes)]
 
@@ -185,7 +190,7 @@ def _schur(sf: _StandardForm, W: list[np.ndarray]) -> np.ndarray:
     m = sf.m
     M = np.zeros((m, m))
     for a, w, s in zip(sf.A, W, sf.sizes):
-        step = max(1, SCHUR_SLICE_BYTES // (16 * m * s * s))
+        step = max(1, SCHUR_SLICE_BYTES // (a.itemsize * m * s * s))
         for j in range(0, len(w), step):
             wj = w[j:j + step]
             aj = a[:, j * s * s:(j + len(wj)) * s * s]
@@ -280,8 +285,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     xi = np.maximum(np.maximum(10.0, np.sqrt(full)),
                     full * float(np.max((1.0 + np.abs(sf.b)) / (1.0 + a_row_norms))))
     eta = np.maximum(np.maximum(10.0, np.sqrt(full)), 1.0 + np.maximum(c_norms, a_norms))
-    X = [xi[k][:, None, None] * np.eye(s, dtype=complex) for k, s in zip(sf.block_of, sf.sizes)]
-    S = [eta[k][:, None, None] * np.eye(s, dtype=complex) for k, s in zip(sf.block_of, sf.sizes)]
+    X = [xi[k][:, None, None] * np.eye(s, dtype=sf.dtype) for k, s in zip(sf.block_of, sf.sizes)]
+    S = [eta[k][:, None, None] * np.eye(s, dtype=sf.dtype) for k, s in zip(sf.block_of, sf.sizes)]
     y = np.zeros(m)
 
     status = "iteration-limit"

@@ -38,6 +38,13 @@ def rand_channel(rng, d_in: int, d_out: int, kraus_count: int = 2) -> quantum.Qu
     return quantum.QuantumChannel([q[i * d_out:(i + 1) * d_out, :] for i in range(kraus_count)])
 
 
+def rand_real_channel(rng, d_in: int, d_out: int, kraus_count: int = 2) -> quantum.QuantumChannel:
+    """A random channel with real Kraus operators, so a real Choi matrix."""
+    kraus_count = max(kraus_count, -(-d_in // d_out))
+    q, _ = np.linalg.qr(rng.normal(size=(d_out * kraus_count, d_in)))
+    return quantum.QuantumChannel([q[i * d_out:(i + 1) * d_out, :] for i in range(kraus_count)])
+
+
 def rand_povm(rng, d: int, m: int) -> list[np.ndarray]:
     parts = []
     for _ in range(m):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_channel, rand_classical_channel, rand_povm, rand_state
+from conftest import (rand_channel, rand_classical_channel, rand_povm, rand_real_channel,
+                      rand_state)
 from oracles import classical_converse_bits, identity_opt_input_bound
 from qconv import bounds, cli, linalg, quantum, sdp
 from qconv.bounds import (TestClass, binary_entropy, binary_relative_entropy,
@@ -24,6 +25,9 @@ from qconv.quantum import (Code, DensityMatrix, apply_channel, apply_channel_sec
                            tensor_power)
 
 DEPOL = depolarising_channel(2, 0.15)
+# DEPOL followed by the phase gate diag(1, i): its Choi matrix is complex, and the
+# gate, a unitary on the output, leaves every converse value as DEPOL's
+PHASE_DEPOL = quantum.QuantumChannel([np.diag([1.0, 1j]) @ m for m in DEPOL.kraus])
 MU2 = maximally_mixed(2)
 BINOMIAL_BITS_005 = 0.5849625007211562  # -log2(2/3)
 
@@ -182,17 +186,18 @@ class TestProgramLimits:
             assert prob.coefficient_bytes == _held_bytes(prob)
 
     @pytest.mark.parametrize("cls,count", [
-        # the problem's rows, 16 bytes per packed entry: each of the 136 R rows
-        # on the AB blocks (10² + 6² entries each), the adversary's block
-        # (3² + 1) and the acceptance block, the lambda row on the adversary's
-        # block and the block lambda >= 0, and each of the 10 rho_ref rows on
-        # the caps, the rho_ref block (3² + 1) and the trace block; the
-        # solver's copy, 16 bytes per row and entry: 147 rows on every block's
-        # entries, the lambda block's included
-        (TestClass.ALL, 16 * (136 * (2 * 136 + 11) + (10 + 1) + 10 * (136 + 11))
-         + 16 * 147 * (2 * 136 + 2 * 11 + 1)),
-        (TestClass.PPT, 16 * (136 * (4 * 136 + 11) + (10 + 1) + 10 * (2 * 136 + 11))
-         + 16 * 147 * (4 * 136 + 2 * 11 + 1))])
+        # the depolarising data is real, so is the program: 8 bytes per entry.
+        # The problem's rows: each of the 76 real R rows on the AB blocks
+        # (10² + 6² entries each), the adversary's block (3² + 1) and the
+        # acceptance block, the lambda row on the adversary's block and the
+        # block lambda >= 0, and each of the 7 real rho_ref rows on the caps,
+        # the rho_ref block (3² + 1) and the trace block; the solver's copy,
+        # per row and entry: 84 rows on every block's entries, the lambda
+        # block's included
+        (TestClass.ALL, 8 * (76 * (2 * 136 + 11) + (10 + 1) + 7 * (136 + 11))
+         + 8 * 84 * (2 * 136 + 2 * 11 + 1)),
+        (TestClass.PPT, 8 * (76 * (4 * 136 + 11) + (10 + 1) + 7 * (2 * 136 + 11))
+         + 8 * 84 * (4 * 136 + 2 * 11 + 1))], ids=["TestClass.ALL", "TestClass.PPT"])
     def test_split_size_estimate_is_the_solver_storage(self, monkeypatch, cls, count):
         probs = []
         solve = bounds._solve
@@ -201,21 +206,35 @@ class TestProgramLimits:
         assert probs[0].coefficient_bytes == _held_bytes(probs[0]) == count
 
     def test_three_uses_are_admitted(self, monkeypatch):
-        # about 1.0 GiB (ALL) and 2.0 GiB (PPT): every row is counted and admitted,
-        # no operator row is built, and the solve is never reached
+        # the one-use programs of the 8 -> 8 channel, real: 2,080 real R rows on
+        # whole 64 x 64 blocks (4,096 entries each), the adversary's 8 x 8 block
+        # and the acceptance block, and the lambda row on the adversary's block
+        # and the block lambda >= 0; an optimised input adds 36 rho_ref rows on
+        # the caps, its 8 x 8 block and the trace block. 8 bytes per entry here
+        # and per row and entry in the solver: about 0.26 GiB (ALL) and 0.51 GiB
+        # (PPT). Every row is counted and admitted, no operator row is built,
+        # and the solve is never reached
         class Admitted(Exception):
             pass
 
         def stop(prob):
             raise Admitted(prob.coefficient_bytes)
 
+        ab, b = 64 * 64, 8 * 8 + 1
+        fixed = {cls: 8 * (2080 * (caps * ab + b) + b + 2081 * (caps * ab + b + 1))
+                 for cls, caps in (("all", 2), ("ppt", 4))}
+        opt = {cls: 8 * (2080 * (caps * ab + b) + b + 36 * (caps // 2 * ab + b)
+                         + 2117 * (caps * ab + 2 * b + 1))
+               for cls, caps in (("all", 2), ("ppt", 4))}
+        want = {"all": fixed["all"], "ppt": fixed["ppt"], "dual": fixed["all"],
+                "all-opt": opt["all"], "ppt-opt": opt["ppt"]}
         monkeypatch.setattr(sdp.problem.Basis, "__iter__", lambda basis: iter(()))
         monkeypatch.setattr(bounds, "_solve", stop)
         chan = tensor_power(DEPOL, 3)
         for name in _PROGRAMS:
             with pytest.raises(Admitted) as admitted:
                 _PROGRAMS[name](chan)
-            assert 2**30 < admitted.value.args[0] <= sdp.problem.MAX_PROGRAM_BYTES
+            assert admitted.value.args[0] == want[name] <= sdp.problem.MAX_PROGRAM_BYTES
 
     def test_four_uses_are_rejected_before_allocating(self):
         chan = tensor_power(DEPOL, 4)  # about 257 GiB of coefficients
@@ -229,16 +248,10 @@ class TestProgramLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_four_optimised_uses_are_admitted(self, monkeypatch):
-        # 3,876 invariant R rows on two 256 x 256 blocks, each split into
-        # sub-blocks of 45, 45, 45, 35, 20, 20, 15, 15, 15 and 1 (8,776 packed
-        # entries), the adversary's 16 x 16 block, split into 5, 3, 3, 3, 1
-        # and 1 (54 entries), and the acceptance block; the lambda row on the
-        # adversary's block and the block lambda >= 0; and 35 rho_ref rows on
-        # the cap, the rho_ref block (split as the adversary's) and the trace
-        # block. The problem keeps 16 bytes per packed entry of each row, the
-        # solver 16 per row and entry over all 3,912 rows, the lambda block's
-        # included. About 2.05 GiB: admitted, with no operator row built
+    @staticmethod
+    def _four_optimised_bytes(monkeypatch, cls):
+        """The bytes ``ea_bound_opt_rho(DEPOL, n=4)`` admits, with no operator
+        row built and the solve never reached."""
         class Admitted(Exception):
             pass
 
@@ -247,14 +260,35 @@ class TestProgramLimits:
 
         monkeypatch.setattr(sdp.problem.Basis, "__iter__", lambda basis: iter(()))
         monkeypatch.setattr(bounds, "_solve", stop)
-        ab, b = 8776, 54
         with pytest.raises(Admitted) as admitted:
-            ea_bound_opt_rho(DEPOL, 0.05, TestClass.ALL, n=4)
-        assert admitted.value.args[0] == \
-            16 * (3876 * (2 * ab + b + 1) + (b + 1) + 35 * (ab + b + 1)) \
-            + 16 * (3876 + 1 + 35) * (2 * ab + 2 * (b + 1) + 1)
+            ea_bound_opt_rho(DEPOL, 0.05, cls, n=4)
+        return admitted.value.args[0]
 
-    # the PPT program has twice the AB blocks, about 4.1 GiB
+    def test_four_optimised_uses_are_admitted(self, monkeypatch):
+        # 1,996 real invariant R rows on two 256 x 256 blocks, each split into
+        # sub-blocks of 45, 45, 45, 35, 20, 20, 15, 15, 15 and 1 (8,776 packed
+        # entries), the adversary's 16 x 16 block, split into 5, 3, 3, 3, 1
+        # and 1 (54 entries), and the acceptance block; the lambda row on the
+        # adversary's block and the block lambda >= 0; and 22 real rho_ref rows
+        # on the cap, the rho_ref block (split as the adversary's) and the trace
+        # block. The problem keeps 8 bytes per packed entry of each row, the
+        # solver 8 per row and entry over all 2,019 rows, the lambda block's
+        # included. About 0.53 GiB: admitted
+        ab, b = 8776, 54
+        assert self._four_optimised_bytes(monkeypatch, TestClass.ALL) == \
+            8 * (1996 * (2 * ab + b + 1) + (b + 1) + 22 * (ab + b + 1)) \
+            + 8 * (1996 + 1 + 22) * (2 * ab + 2 * (b + 1) + 1)
+
+    def test_four_optimised_ppt_uses_are_admitted(self, monkeypatch):
+        # the PPT program has twice the AB blocks: about 1.05 GiB in real
+        # coordinates, against 4.1 GiB in complex ones
+        ab, b = 8776, 54
+        assert self._four_optimised_bytes(monkeypatch, TestClass.PPT) == \
+            8 * (1996 * (4 * ab + b + 1) + (b + 1) + 22 * (2 * ab + b + 1)) \
+            + 8 * (1996 + 1 + 22) * (4 * ab + 2 * (b + 1) + 1)
+
+    # the PPT program of a channel with a complex Choi matrix keeps the complex
+    # coordinates: 3,876 R rows, twice the AB blocks, about 4.1 GiB
     @pytest.mark.parametrize("cls", [TestClass.PPT])
     def test_four_optimised_uses_are_rejected_before_the_channel(self, monkeypatch, cls):
         def unbuilt(*args):
@@ -264,7 +298,7 @@ class TestProgramLimits:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="GiB"):
-                ea_bound_opt_rho(DEPOL, 0.05, cls, n=4)
+                ea_bound_opt_rho(PHASE_DEPOL, 0.05, cls, n=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -558,10 +592,13 @@ class TestInvariantPrograms:
     @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
     def test_split_equals_unsplit(self, cls):
         # the optimised two-use programs of the sdp-depol benchmark workload at
-        # seed 1, with and without the frames: the same steps
+        # seed 1, on the real bases ea_bound_opt_rho takes for the depolarising
+        # channel, with and without the frames: the same steps
         chan = tensor_power(DEPOL, 2)
-        r_basis, rho_basis = sdp.invariant_basis((2, 2), 2), sdp.invariant_basis((2,), 2)
-        whole = [sdp.Basis(len(b), lambda b=b: iter(b)) for b in (r_basis, rho_basis)]
+        r_basis, rho_basis = (sdp.invariant_basis((2, 2), 2, real=True),
+                              sdp.invariant_basis((2,), 2, real=True))
+        whole = [sdp.Basis(len(b), lambda b=b: iter(b), None, b.dtype)
+                 for b in (r_basis, rho_basis)]
         eps_list = [0.01428, 0.05638, 0.1474]
         splits = bounds._ea_bound((4, 4), lambda: chan.choi, eps_list, cls, None, r_basis,
                                   rho_basis, sdp.invariant_frame((2,), 2))
@@ -756,6 +793,15 @@ class TestNoisyStorage:
                                  test_class=TestClass.ALL)
         assert noisy_storage_minentropy(8.0, res) == 0.0
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rate_must_be_finite_bits(self, rate):
+        # nan > bits is false: it would report no guarantee instead of failing
+        res = bounds.BoundResult(bits=10.0, beta=2**-10.0, epsilon=0.5,
+                                 test_class=TestClass.ALL)
+        with pytest.raises(ValueError, match="code rate"):
+            noisy_storage_minentropy(rate, res)
+        assert noisy_storage_minentropy(0.0, res) == 0.0
+
     def test_depolarising_inversion(self):
         rate_per_use = 1.5  # above the ~1.31 bit capacity, so overflow happens
         eps = 0.25
@@ -768,6 +814,80 @@ class TestNoisyStorage:
         got = noisy_storage_minentropy(n * rate_per_use, res)
         assert got == pytest.approx(-np.log2(0.75), abs=1e-12)
         assert got == pytest.approx(0.415, abs=5e-4)
+
+
+class TestRealPrograms:
+    """Programs on real data in real coordinates against the complex ones."""
+
+    @staticmethod
+    def _complex(chan, eps, cls, n):
+        """The optimised-input program for n uses of ``chan`` on the complex bases."""
+        da, db = chan.dim_in, chan.dim_out
+        return bounds._ea_bound((da**n, db**n), lambda: tensor_power(chan, n).choi, [eps], cls,
+                                None, sdp.invariant_basis((da, db), n),
+                                sdp.invariant_basis((da,), n), sdp.invariant_frame((db,), n),
+                                n)[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    @pytest.mark.parametrize("chan", [DEPOL, rand_real_channel(np.random.default_rng(3), 2, 2)],
+                             ids=["depol", "real-kraus"])
+    def test_real_program_equals_complex_program(self, monkeypatch, chan, cls, n):
+        probs = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
+        real = ea_bound_opt_rho(chan, 0.05, cls, n)
+        assert probs[0].dtype == np.float64
+        assert len(probs[0].constraints) == (10 + 1 + 3 if n == 1 else 76 + 1 + 7)
+        assert real.bits == pytest.approx(self._complex(chan, 0.05, cls, n).bits, abs=1e-7)
+        assert probs[1].dtype == np.complex128
+        assert all(m.dtype == np.complex128
+                   for m in (real.optimal_r, real.optimal_sigma, real.optimal_rho))
+
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_fixed_real_input_takes_real_coordinates(self, monkeypatch, cls):
+        # a real input state on real data: 10 real R rows instead of 16
+        probs = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
+        rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
+        real = ea_bound(DEPOL, rho, 0.05, cls)
+        full = bounds._ea_bound((2, 2), lambda: DEPOL.choi, [0.05], cls,
+                                lambda: bounds._ref_state(rho), sdp.hermitian_basis(4))[0]
+        assert probs[0].dtype == np.float64 and len(probs[0].constraints) == 10 + 1
+        assert real.bits == pytest.approx(full.bits, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
+    def test_complex_choi_keeps_complex_coordinates(self, monkeypatch, cls, n):
+        # the phase gate makes the Choi matrix complex: the program keeps the
+        # complex bases, and, the gate being a unitary on the output, gives
+        # the depolarising channel's value
+        probs = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
+        res = ea_bound_opt_rho(PHASE_DEPOL, 0.05, cls, n)
+        assert probs[0].dtype == np.complex128
+        assert len(probs[0].constraints) == (16 + 1 + 4 if n == 1 else 136 + 1 + 10)
+        assert res.bits == pytest.approx(ea_bound_opt_rho(DEPOL, 0.05, cls, n).bits, abs=1e-7)
+        fixed = ea_bound(PHASE_DEPOL, MU2, 0.05, cls)
+        assert probs[-1].dtype == np.complex128
+        assert fixed.bits == pytest.approx(ea_bound(DEPOL, MU2, 0.05, cls).bits, abs=1e-7)
+
+    def test_complex_input_keeps_complex_coordinates(self, monkeypatch):
+        probs = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda prob: probs.append(prob) or solve(prob))
+        ea_bound(DEPOL, DensityMatrix(np.array([[0.7, 0.2j], [-0.2j, 0.3]])), 0.05)
+        assert probs[0].dtype == np.complex128 and len(probs[0].constraints) == 16 + 1
+
+    def test_roundoff_is_read_as_real(self):
+        # the depolarising Choi matrix carries imaginary parts of about 1e-17
+        # from its complex Kraus operators
+        assert np.abs(DEPOL.choi.imag).max() > 0 and bounds._is_real(DEPOL.choi)
+        assert bounds._is_real(tensor_power(DEPOL, 3).choi)
+        assert not bounds._is_real(PHASE_DEPOL.choi)
+        assert not bounds._is_real(DEPOL.choi + 1e-12j * np.eye(4))
 
 
 class TestStructuralInvariants:

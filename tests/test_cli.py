@@ -32,6 +32,16 @@ def _write_depol_choi(path, p=0.15):
     return path
 
 
+def _write_phase_depol_kraus(path, p=0.15):
+    """The qubit depolarising channel followed by the phase gate diag(1, i),
+    whose Choi matrix is complex, as Kraus operators."""
+    kraus = [np.diag([1.0, 1j]) @ m for m in quantum.depolarising_channel(2, p).kraus]
+    spec = {"dimIn": 2, "dimOut": 2, "representation": "kraus",
+            "data": [_mat_to_pairs(m) for m in kraus]}
+    path.write_text(json.dumps(spec))
+    return path
+
+
 GRID_COMMANDS = ("depol", "bound", "classical")
 
 
@@ -372,13 +382,14 @@ class TestExitCodes:
         chan = _write_depol_choi(tmp_path / "depol.json")
         assert cli.main(["bound", "--channel", str(chan), *extra]) == 2
 
-    # the split ALL program, about 2.0 GiB, is admitted
+    # a complex Choi matrix keeps the complex coordinates, where the PPT program
+    # is about 4.1 GiB; the depolarising channel's real programs are admitted
     @pytest.mark.parametrize("cls", ["ppt"])
     def test_four_optimised_uses_are_2_before_the_channel(self, tmp_path, monkeypatch, cls):
         def unbuilt(*args):
             raise AssertionError("tensor_power ran for a rejected program")
 
-        chan = _write_depol_choi(tmp_path / "depol.json")
+        chan = _write_phase_depol_kraus(tmp_path / "phase-depol.json")
         monkeypatch.setattr(quantum, "tensor_power", unbuilt)
         assert cli.main(["bound", "--channel", str(chan), "--eps", "0.05", "--n", "4",
                          "--class", cls, "--rho", "optimize"]) == 2
@@ -463,6 +474,12 @@ class TestExitCodes:
             command = [*command, "--depol-d", "2", "--depol-p", "0.15", "--rate", "30"]
         assert cli.main(command) == 2
         assert f"{flag} takes one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_minentropy_rate_that_is_not_bits_is_2(self, capsys, rate):
+        assert cli.main(["minentropy", "--depol-d", "2", "--depol-p", "0.15", "--eps", "0.25",
+                         "--n", "20", f"--rate={rate}"]) == 2
+        assert "code rate" in capsys.readouterr().err
 
     def test_minentropy_without_channel_is_2(self):
         assert cli.main(["minentropy", "--eps", "0.25", "--rate", "30.0"]) == 2

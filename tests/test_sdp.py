@@ -10,7 +10,7 @@ from conftest import operator_equality, rand_channel, rand_classical_channel, ra
 from qconv import bounds, linalg, quantum
 from qconv.sdp import (Frame, SdpProblem, diagonal_basis, diagonal_frame, hermitian_basis,
                        invariant_basis, invariant_frame, solve, solver, verify)
-from qconv.sdp.problem import _schur_weyl_runs
+from qconv.sdp.problem import _schur_weyl_runs, invariant_size
 from qconv.sdp.solver import _ct, _eigh, _max_step, _nt_scaling, _schur, _StandardForm
 
 
@@ -324,6 +324,34 @@ class TestBases:
         assert len(basis) == 5
         assert np.array_equal(sum(basis), np.eye(5))
         assert np.abs(_gram(basis) - np.eye(5)).max() == 0.0
+        assert basis.dtype == np.float64 and all(h.dtype == np.float64 for h in basis)
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_real_basis_length_is_its_element_count(self, dims, n):
+        # (C(D² + n - 1, n) + F) / 2 real elements, F from its generating function
+        basis = invariant_basis(dims, n, real=True)
+        elements = list(basis)
+        assert len(basis) == len(elements) == invariant_size(math.prod(dims), n, real=True)
+        assert basis.dtype == np.float64 and all(h.dtype == np.float64 for h in elements)
+
+    @pytest.mark.parametrize("dims,n", [((2,), 3), ((3,), 2), ((2, 2), 2), ((2, 3), 2)])
+    def test_real_basis_is_the_real_elements_of_the_basis(self, dims, n):
+        # the complex basis's elements without the antisymmetric i(O - Oᵀ), in order:
+        # an orthonormal basis of its real symmetric span
+        real = list(invariant_basis(dims, n, real=True))
+        want = [h.real for h in invariant_basis(dims, n) if not h.imag.any()]
+        assert len(real) == len(want)
+        assert all(np.array_equal(h, w) for h, w in zip(real, want))
+        assert all(np.array_equal(h, h.T) for h in real)
+        assert np.abs(_gram(real) - np.eye(len(real))).max() < 1e-14
+
+    def test_real_lengths_in_closed_form(self):
+        # the qubit AB space: 16 -> 10 rows at n = 1, 136 -> 76, 816 -> 430, 3,876 -> 1,996
+        assert [invariant_size(4, n) for n in (1, 2, 3, 4)] == [16, 136, 816, 3876]
+        assert [invariant_size(4, n, real=True) for n in (1, 2, 3, 4)] == [10, 76, 430, 1996]
+        assert invariant_size(1, 7, real=True) == 1
+        assert len(hermitian_basis(5, real=True)) == 15
 
     def test_frame_sizes(self):
         # the Schur-Weyl blocks of C⁴ at n = 2 (symmetric and antisymmetric) and
@@ -541,10 +569,11 @@ class TestStandardFormKernels:
     def test_stack_layout(self):
         # the PPT program's 16 x 16 blocks split into 10 and 6, its 4 x 4 blocks
         # into 3 and 1: one stack per size, in order of first appearance, and
-        # the 1x1 sub-blocks, the acceptance and trace blocks and the lambda
-        # slack in the s = 1 stack. Every row has a coefficient column on
-        # every member. Every block is declared before any row, so the lambda
-        # row's slack, with coefficient +1, is the last block
+        # the 1x1 sub-blocks, the acceptance and trace blocks and the block
+        # lambda >= 0 in the s = 1 stack. Every row has a coefficient column on
+        # every member. _ea_problem declares the block lambda >= 0 after the
+        # R rows, just before the lambda row, its only row, with coefficient
+        # +1; the rho_ref and trace blocks precede the R rows, so it is last
         prob = _depol_ppt_program()
         assert prob.block_dims == [16, 16, 4, 1, 16, 16, 4, 1, 1]
         lam = prob.constraints[136]
@@ -849,6 +878,68 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match="GiB"):
             prob.add_block(2)
         assert prob.block_dims == [2, 3, 1, 1, 1] and prob.coefficient_bytes == need - 16 * 6 * 4
+
+
+def _real_feasible(rng, dims, m, dtype):
+    """A strictly feasible program with real symmetric data, declared in ``dtype``."""
+    def sym(d, definite=False):
+        g = rng.normal(size=(d, d))
+        return g @ g.T + 0.5 * np.eye(d) if definite else (g + g.T) / 2
+
+    X0, S0 = [sym(d, True) for d in dims], [sym(d, True) for d in dims]
+    A = [[sym(d) for d in dims] for _ in range(m)]
+    y0 = rng.normal(size=m)
+    prob = SdpProblem(list(dims), dtype=dtype)
+    for k in range(len(dims)):
+        prob.set_objective(k, S0[k] + sum(y0[i] * A[i][k] for i in range(m)))
+    for row in A:
+        prob.add_constraint(dict(enumerate(row)), sum(np.sum(a * x) for a, x in zip(row, X0)))
+    return prob
+
+
+class TestRealPrograms:
+    def test_real_program_is_solved_in_real_arithmetic(self):
+        # the same real data declared complex and real: the same optimum, and
+        # the real problem's coefficients, stacks and primal blocks are float64
+        progs = [_real_feasible(np.random.default_rng(5), (3, 2, 1), 4, dtype)
+                 for dtype in (complex, float)]
+        assert progs[1].dtype == np.float64
+        assert all(a.dtype == np.float64 for con in progs[1].constraints
+                   for a in con.coeffs.values())
+        assert all(a.dtype == np.float64 for a in _StandardForm(progs[1]).A)
+        complex_sol, real_sol = (solve(prob) for prob in progs)
+        assert real_sol.status == complex_sol.status == "optimal"
+        assert all(x.dtype == np.float64 for x in real_sol.primal_blocks)
+        assert real_sol.primal_objective == pytest.approx(complex_sol.primal_objective,
+                                                           abs=1e-9)
+        assert real_sol.dual_objective == pytest.approx(complex_sol.dual_objective, abs=1e-9)
+        assert verify(progs[1], real_sol).ok
+
+    def test_real_program_counts_eight_bytes_an_entry(self):
+        # TestSizeGuard's program on the real basis of 2 x 2 matrices: 3 rows of
+        # 4 + 9 + 1 entries, then 4 and 9 with their 1x1 blocks, here; the
+        # solver's 5 rows on 14 entries and the two 1x1 blocks; 8 bytes each
+        prob = SdpProblem([2, 3, 1], dtype=float)
+        prob.add_operator_equality({0: lambda h: h, 1: lambda h: np.pad(h, (0, 1)),
+                                    2: lambda h: np.trace(h) * np.eye(1)},
+                                   hermitian_basis(2, real=True))
+        prob.add_constraint({0: np.eye(2), prob.add_block(1): [[1.0]]}, 1.0)
+        prob.add_constraint({1: np.eye(3), prob.add_block(1): [[-1.0]]}, 0.5)
+        assert prob.coefficient_bytes == TestSizeGuard._held(prob) == \
+            8 * (3 * 14 + (4 + 1) + (9 + 1)) + 8 * 5 * (14 + 2)
+
+    def test_real_program_takes_real_coefficients(self):
+        # a complex coefficient with no imaginary part is stored real; one with
+        # an imaginary part is rejected, and a problem is complex or float64
+        prob = SdpProblem([2], dtype=float)
+        prob.set_objective(0, np.eye(2, dtype=complex))
+        assert prob.objective[0].dtype == np.float64
+        before = _declared(prob)
+        with pytest.raises(ValueError, match="imaginary"):
+            prob.add_constraint({0: [[1.0, 1j], [-1j, 1.0]]}, 1.0)
+        assert _declared(prob) == before
+        with pytest.raises(ValueError, match="float64"):
+            SdpProblem([2], dtype=np.float32)
 
 
 def _declared(prob: SdpProblem):
