@@ -282,6 +282,30 @@ def _per_eps(eps, bound):
     return results[0] if single else results
 
 
+def check_fixed_input(channel: QuantumChannel, rho: DensityMatrix | None,
+                      n: int) -> tuple[int, int]:
+    """Check that ``ea_bound`` takes n uses of ``channel`` at the input ``rho``
+    (None: the maximally mixed one), and return their input and output
+    dimensions; the CLI checks every n of a grid with it before any solve.
+
+    A program far over ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected from n
+    and the one-use dimensions alone, before any power is formed. The blocks
+    R >= 0 and R <= rho_ref ⊗ I are framed whole, so each R row, of which
+    there are at least d_ab²/2, holds the d_ab² entries of both, as does the
+    solver's copy, at 8 bytes or more: at least 16 d_ab⁴ = 16 D^4n bytes, for
+    D = d_in d_out. That bound grows with n, and unless D = 1 it is over the
+    limit by log2(limit) uses, so it is evaluated at no more uses than that.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    uses = min(n, sdp.problem.MAX_PROGRAM_BYTES.bit_length())
+    sdp.problem.check_program_bytes(16 * (channel.dim_in * channel.dim_out) ** (4 * uses))
+    da = channel.dim_in**n
+    if rho is not None and rho.dim != da:
+        raise ValueError(f"state dim {rho.dim} != channel input dim {da} at n = {n}")
+    return da, channel.dim_out**n
+
+
 def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float | Sequence[float],
              cls: TestClass = TestClass.ALL, n: int = 1) -> BoundResult | list[BoundResult]:
     """Converse bound for n uses of ``channel`` at a fixed average input
@@ -305,13 +329,10 @@ def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float | Se
     such a symmetry, and R ranges over the real symmetric operators. The
     n-use channel and the maximally mixed state are built only after the
     R rows are admitted, so an oversized program is rejected before
-    ``quantum.tensor_power`` runs.
+    ``quantum.tensor_power`` runs, and one far over the limit before any
+    n-use dimension is formed (``check_fixed_input``).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    da, db = channel.dim_in**n, channel.dim_out**n
-    if rho is not None and rho.dim != da:
-        raise ValueError(f"state dim {rho.dim} != channel input dim {da}")
+    da, db = check_fixed_input(channel, rho, n)
     ref = (lambda: np.eye(da, dtype=complex) / da) if rho is None else (lambda: _ref_state(rho))
     real = _is_real(channel.choi, *([] if rho is None else [rho.mat]))
     return _per_eps(eps, lambda eps_list: _ea_bound(

@@ -18,7 +18,9 @@ time the bound spent on that point, and the first eps of each n carries
 the build of the program. A JSON value is float()
 of its CSV field, except test_class and a non-zero beta below float64
 range, which stay strings. The scalar flags (chi --eps, minentropy --eps
-and --n) take exactly one value.
+and --n) take exactly one value, and minentropy takes one source,
+--channel or --depol-d. Every number read from an input file goes through
+one conversion, ``_numbers``.
 
 Exit codes: 0 success, 2 validation error, 3 solver failure.
 """
@@ -48,20 +50,25 @@ def fmt(x) -> str:
     return f"{x:.11e}"
 
 
-def _parse_complex_entry(entry) -> complex:
-    if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
-        raise ValueError(f"complex entries must be [re, im] pairs, got {entry!r}")
+def _numbers(data, shape: tuple, what: str) -> np.ndarray:
+    """The one conversion of numbers read from an input file: ``data`` as a
+    float64 array of ``shape``, where None matches any length. Entries that
+    are not numbers, integers beyond float range and any other shape raise
+    ValueError naming ``what``."""
     try:
-        return complex(float(entry[0]), float(entry[1]))
-    except TypeError as exc:
-        raise ValueError(f"complex entries must be numeric [re, im] pairs, got {entry!r}") from exc
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be numbers: {exc}") from exc
+    if arr.ndim != len(shape) or any(w is not None and w != a for a, w in zip(arr.shape, shape)):
+        want = ", ".join("*" if w is None else str(w) for w in shape)
+        raise ValueError(f"{what} must have shape ({want}), got {arr.shape}")
+    return arr
 
 
-def _parse_matrix(data, rows: int, cols: int) -> np.ndarray:
-    if (not isinstance(data, list) or len(data) != rows
-            or any(not isinstance(r, list) or len(r) != cols for r in data)):
-        raise ValueError(f"matrix data must be a {rows}x{cols} list of rows")
-    return np.array([[_parse_complex_entry(e) for e in row] for row in data])
+def _complex(data, shape: tuple, what: str) -> np.ndarray:
+    """Complex entries of ``shape`` given as [re, im] pairs: ``_numbers`` of
+    shape (*shape, 2) viewed as complex128, each entry complex(re, im)."""
+    return _numbers(data, (*shape, 2), f"{what} ([re, im] pairs)").view(complex)[..., 0]
 
 
 def _dimension(value, what: str) -> int:
@@ -84,12 +91,10 @@ def parse_channel(spec: dict) -> quantum.QuantumChannel:
     if dim_in < 1 or dim_out < 1:
         raise ValueError("channel dimensions must be positive")
     if rep == "kraus":
-        if not isinstance(data, list):
-            raise ValueError("kraus data must be a list of matrices")
-        kraus = [_parse_matrix(m, dim_out, dim_in) for m in data]
-        return quantum.QuantumChannel(kraus, atol=1e-8)
+        kraus = _complex(data, (None, dim_out, dim_in), "kraus data")
+        return quantum.QuantumChannel(list(kraus), atol=1e-8)
     if rep == "choi":
-        choi = _parse_matrix(data, dim_in * dim_out, dim_in * dim_out)
+        choi = _complex(data, (dim_in * dim_out, dim_in * dim_out), "choi data")
         return quantum.channel_from_choi(choi, dim_in, dim_out, atol=1e-8)
     raise ValueError(f"representation must be 'kraus' or 'choi', got {rep!r}")
 
@@ -106,13 +111,6 @@ def _load_object(path: str) -> dict:
     return spec
 
 
-def _float_array(data, what: str) -> np.ndarray:
-    try:
-        return np.array(data, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"{what} must be numbers") from exc
-
-
 def load_channel(path: str) -> quantum.QuantumChannel:
     return parse_channel(_load_object(path))
 
@@ -120,25 +118,14 @@ def load_channel(path: str) -> quantum.QuantumChannel:
 def load_state(path: str) -> quantum.DensityMatrix:
     spec = _load_object(path)
     d = _dimension(spec["dim"], "state dim")
-    return quantum.DensityMatrix(_parse_matrix(spec["data"], d, d), atol=1e-8)
+    return quantum.DensityMatrix(_complex(spec["data"], (d, d), "state data"), atol=1e-8)
 
 
 def load_ensemble(path: str) -> list[tuple[float, quantum.DensityMatrix]]:
     spec = _load_object(path)
-    try:
-        probs = [float(p) for p in spec["probs"]]
-    except TypeError as exc:
-        raise ValueError("ensemble probs must be a list of numbers") from exc
-    states = spec["states"]
-    if not isinstance(states, list) or any(not isinstance(st, list) for st in states):
-        raise ValueError("ensemble states must be a list of matrices")
-    if len(probs) != len(states):
-        raise ValueError("ensemble needs one probability per state")
-    out = []
-    for pr, st in zip(probs, states):
-        d = len(st)
-        out.append((pr, quantum.DensityMatrix(_parse_matrix(st, d, d), atol=1e-8)))
-    return out
+    probs = _numbers(spec["probs"], (None,), "ensemble probs")
+    states = _complex(spec["states"], (len(probs), None, None), "ensemble states")
+    return [(float(pr), quantum.DensityMatrix(st, atol=1e-8)) for pr, st in zip(probs, states)]
 
 
 def parse_eps_list(text: str) -> list[float]:
@@ -225,20 +212,19 @@ def cmd_bound(args) -> int:
         return _grid(args, ns, eps_list,
                      lambda n, eps_list: bounds.ea_bound_opt_rho(channel, eps_list, cls, n))
     rho = None if args.rho == "maximally-mixed" else load_state(args.rho)
-    # the state must fit every n before the first solve, not when the grid reaches it
+    # every n must fit its program and the state before the first solve, not
+    # when the grid reaches it
     for n in ns:
-        if rho is not None and rho.dim != channel.dim_in**n:
-            raise ValueError(f"state dim {rho.dim} != channel input dim {channel.dim_in**n}"
-                             f" at n = {n}")
+        bounds.check_fixed_input(channel, rho, n)
     return _grid(args, ns, eps_list,
                  lambda n, eps_list: bounds.ea_bound(channel, rho, eps_list, cls, n))
 
 
 def cmd_classical(args) -> int:
-    w = _float_array(_load_object(args.channel)["data"], "classical channel data")
+    w = _numbers(_load_object(args.channel)["data"], (None, None), "classical channel data")
     p = None
     if args.p and args.p != "optimize":
-        p = _float_array(_load_json(args.p), "input distribution")
+        p = _numbers(_load_json(args.p), (None,), "input distribution")
     return _grid(args, [1], parse_eps_list(args.eps),
                  lambda n, eps_list: bounds.classical_converse(w, eps_list, p))
 
@@ -264,13 +250,14 @@ def cmd_chi(args) -> int:
 def cmd_minentropy(args) -> int:
     eps = _single(parse_eps_list(args.eps), "--eps")
     n = _single(parse_n_list(args.n), "--n")
-    if args.depol_d:
-        res = bounds.depolarising_exact(args.depol_d, args.depol_p, n, eps)
-    elif args.channel is None:
-        raise ValueError("minentropy needs --channel or --depol-d")
+    if (args.channel is None) == (args.depol_d is None):
+        raise ValueError("minentropy takes one source: --channel or --depol-d")
+    if args.depol_d is None:
+        if args.depol_p is not None:
+            raise ValueError("--depol-p goes with --depol-d, not --channel")
+        res = bounds.ea_bound(load_channel(args.channel), None, eps, TestClass.ALL, n)
     else:
-        channel = load_channel(args.channel)
-        res = bounds.ea_bound(channel, None, eps, TestClass.ALL, n)
+        res = bounds.depolarising_exact(args.depol_d, args.depol_p or 0.0, n, eps)
     print(fmt(bounds.noisy_storage_minentropy(args.rate, res)))
     return 0
 
@@ -325,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("minentropy", help="noisy-storage min-entropy guarantee")
     sp.add_argument("--channel")
-    sp.add_argument("--depol-d", type=int, default=0)
-    sp.add_argument("--depol-p", type=float, default=0.0)
+    sp.add_argument("--depol-d", type=int)
+    sp.add_argument("--depol-p", type=float, help="depolarising parameter, default 0")
     sp.add_argument("--eps", required=True)
     sp.add_argument("--n", default="1")
     sp.add_argument("--rate", type=float, required=True,
@@ -343,7 +330,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -339,14 +339,15 @@ def invariant_size(d: int, n: int, real: bool = False) -> int:
     its transpose and one element per pair O ≠ Oᵀ: (C(D² + n - 1, n) + F) / 2,
     where F counts the orbits equal to their transposes, multisets of D
     diagonal units and of the D(D - 1)/2 off-diagonal pairs {u, uᵀ}: the
-    coefficient of xⁿ in (1 - x)^-D (1 - x²)^-D(D-1)/2.
+    coefficient of xⁿ in (1 - x)^-D (1 - x²)^-D(D-1)/2, which is
+    (1 + x)^D (1 - x²)^-D(D+1)/2, a sum of at most D + 1 terms at any n.
     """
     orbits = math.comb(d * d + n - 1, n)
     if not real:
         return orbits
-    pairs = d * (d - 1) // 2
-    fixed = sum(math.comb(d + n - 2 * k - 1, n - 2 * k) * (math.comb(pairs + k - 1, k) if k else 1)
-                for k in range(n // 2 + 1))
+    factors = d * (d + 1) // 2
+    fixed = sum(math.comb(d, j) * math.comb(factors + (n - j) // 2 - 1, (n - j) // 2)
+                for j in range(n % 2, min(d, n) + 1, 2))
     return (orbits + fixed) // 2
 
 

@@ -321,12 +321,13 @@ class TestProgramLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("n", [16, 400])
+    @pytest.mark.parametrize("n", [16, 400, 10**12])
     @pytest.mark.parametrize("cls", [TestClass.ALL, TestClass.PPT])
     def test_sixteen_optimised_uses_are_rejected_from_closed_forms(self, monkeypatch, cls, n):
         # the C(n + 15, 15) R rows alone are over the limit, and that is checked
         # before any frame is sized: the AB frame of sixteen uses has 7.0e6
-        # Schur-Weyl sub-blocks, and summing its runs at 400 uses takes seconds
+        # Schur-Weyl sub-blocks, and summing its runs at 400 uses takes seconds;
+        # the real row count is a sum of at most D + 1 terms at 10^12 uses
         def unbuilt(*args):
             raise AssertionError("tensor_power ran for a rejected program")
 

@@ -44,6 +44,8 @@ def _write_phase_depol_kraus(path, p=0.15):
 
 GRID_COMMANDS = ("depol", "bound", "classical")
 
+HUGE = 10**400  # a JSON integer beyond float range
+
 
 def _grid_argv(tmp_path, command):
     """A grid command on a small input, short of --eps and --n."""
@@ -361,13 +363,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra", [["--n", "16"], ["--n", "140"],
                                        ["--rho", "optimize", "--n", "20"],
                                        ["--rho", "optimize", "--n", "100"],
-                                       ["--rho", "optimize", "--n", "400"]])
+                                       ["--rho", "optimize", "--n", "400"],
+                                       ["--n", "1000000000000"],
+                                       ["--rho", "optimize", "--n", "1000000000000"]])
     def test_many_uses_are_2_with_the_size_message(self, tmp_path, monkeypatch, capsys, extra):
         # sixteen fixed uses have more Hermitian rows than len() counts, 140
         # need more GiB than a float holds, and the optimised programs have
         # more Schur-Weyl sub-blocks than memory holds and R rows over the
         # limit, checked before the frames: each is sized in closed form and
-        # rejected before the channel
+        # rejected before the channel, at 10^12 uses before any n-use
+        # dimension or any sum over the uses
         def unbuilt(*args):
             raise AssertionError("tensor_power ran for a rejected program")
 
@@ -410,6 +415,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("rep,data", [
         ("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0]),
         ("kraus", [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+        pytest.param("kraus", [[[[HUGE, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+                     id="kraus-huge"),
+        pytest.param("choi", [[[HUGE if r == c == 0 else 0.0, 0.0] for c in range(4)]
+                              for r in range(4)], id="choi-huge"),
         # dimensions that are not integral numbers, on otherwise valid data
         pytest.param("kraus", {"dimIn": 2.7}, id="kraus-dimIn-2.7"),
         pytest.param("kraus", {"dimIn": True, "dimOut": True, "data": [[[[1.0, 0.0]]]]},
@@ -425,7 +434,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("ensemble", [{"probs": [1.0], "states": [5]},
                                           {"probs": [None], "states": [[[[1.0, 0.0]]]]},
-                                          {"probs": 5, "states": []}])
+                                          {"probs": 5, "states": []},
+                                          {"probs": [HUGE], "states": [[[[1.0, 0.0]]]]},
+                                          {"probs": [1.0], "states": [[[[HUGE, 0.0]]]]}])
     def test_malformed_ensemble_is_2(self, tmp_path, ensemble):
         chan = _write_identity_channel(tmp_path / "id.json")
         path = tmp_path / "ens.json"
@@ -436,7 +447,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("state", [
         {"dim": None, "data": []}, [[[1.0, 0.0]]],
         {"dim": 2.9, "data": _mat_to_pairs(np.eye(2) / 2)},
-        {"dim": False, "data": []}])
+        {"dim": False, "data": []},
+        {"dim": 1, "data": [[[HUGE, 0.0]]]}])
     def test_malformed_state_is_2(self, tmp_path, state):
         chan = _write_identity_channel(tmp_path / "id.json")
         path = tmp_path / "rho.json"
@@ -448,7 +460,9 @@ class TestExitCodes:
         ([[0.9, 0.1], [0.1, 0.9]], None),
         ({"data": [[0.9, 0.1], [0.1, 0.9]]}, {"p": [0.5, 0.5]}),
         ({"data": [[0.9, 0.1], [0.1, 0.9]]}, [{"p": 0.5}, 0.5]),
-        ({"data": [[0.9, 0.1], [0.1, 0.9]]}, [None, 0.5])])
+        ({"data": [[0.9, 0.1], [0.1, 0.9]]}, [None, 0.5]),
+        ({"data": [[0.9, HUGE], [0.1, 0.9]]}, None),
+        ({"data": [[0.9, 0.1], [0.1, 0.9]]}, [HUGE, 0.5])])
     def test_malformed_classical_input_is_2(self, tmp_path, channel, p):
         path = tmp_path / "w.json"
         path.write_text(json.dumps(channel))
@@ -483,6 +497,26 @@ class TestExitCodes:
 
     def test_minentropy_without_channel_is_2(self):
         assert cli.main(["minentropy", "--eps", "0.25", "--rate", "30.0"]) == 2
+
+    # a channel file with the depolarising flags: one source would be ignored
+    @pytest.mark.parametrize("flags,message", [
+        pytest.param(["--depol-d", "2", "--depol-p", "1.0"], "one source", id="depol-d"),
+        pytest.param(["--depol-p", "1.0"], "--depol-p goes with --depol-d", id="depol-p")])
+    def test_minentropy_with_two_sources_is_2(self, tmp_path, capsys, flags, message):
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        assert cli.main(["minentropy", "--channel", str(chan), *flags, "--eps", "0.25",
+                         "--n", "3", "--rate", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["depol", "--d", str(HUGE), "--p", "0.15", "--n", "1"], id="depol-d"),
+        pytest.param(["depol", "--d", "2", "--p", "0.15", "--n", str(HUGE)], id="depol-n"),
+        pytest.param(["minentropy", "--depol-d", str(HUGE), "--n", "1", "--rate", "30"],
+                     id="minentropy-depol-d")])
+    def test_integer_flag_beyond_float_range_is_2(self, capsys, argv):
+        assert cli.main([*argv, "--eps", "0.25"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         chan = _write_identity_channel(tmp_path / "id.json")
