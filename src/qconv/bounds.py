@@ -473,8 +473,9 @@ def classical_converse(w: np.ndarray, eps: float | Sequence[float],
     ``sdp.problem.MAX_PROGRAM_BYTES``.
 
     ``eps`` is one value or a sequence, as in ``ea_bound``: one program is
-    built and solved once per eps, and ``diagnostics["wall_s"]`` adds the
-    Neyman-Pearson test to the solve's.
+    built and solved once per eps. ``diagnostics`` keeps the solve's, as
+    ``ea_bound`` records them, and its ``wall_s`` adds the Neyman-Pearson
+    test to the solve's.
 
     An optimised input (``diagnostics["input_distribution"]`` and
     ``optimal_rho``) is the interior-point estimate of the program's
@@ -524,7 +525,8 @@ def _classical_converse(w: np.ndarray, eps_list: list[float],
         out.append(_result(beta, res.epsilon, TestClass.ALL,
                            optimal_sigma=np.diag(q).astype(complex),
                            optimal_rho=np.diag(p).astype(complex),
-                           diagnostics={"input_distribution": p.tolist(), "wall_s": wall_s}))
+                           diagnostics=dict(res.diagnostics, input_distribution=p.tolist(),
+                                            wall_s=wall_s)))
     return out
 
 

@@ -484,11 +484,6 @@ class SdpSolution:
     iterations: int
     residuals: dict = field(default_factory=dict)
 
-    @property
-    def relative_gap(self) -> float:
-        p, d = self.primal_objective, self.dual_objective
-        return abs(p - d) / (1.0 + abs(p) + abs(d))
-
 
 @dataclass
 class VerifyReport:
@@ -524,7 +519,8 @@ def verify(problem: SdpProblem, solution: SdpSolution) -> VerifyReport:
         min_eig = min(min_eig, float(w.min()))
         if w.min() < -1e-9 * (1.0 + abs(w.max())):
             findings.append(f"block {k} not PSD: min eigenvalue {w.min():.3e}")
-    gap = solution.relative_gap
+    p, d = solution.primal_objective, solution.dual_objective
+    gap = abs(p - d) / (1.0 + abs(p) + abs(d))
     if solution.status == "optimal" and gap > VERIFY_GAP_TOL:
         findings.append(f"duality gap {gap:.3e} exceeds {VERIFY_GAP_TOL:.1e}")
     return VerifyReport(ok=not findings, max_equality_violation=max_eq,

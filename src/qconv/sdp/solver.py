@@ -43,6 +43,13 @@ each fresh W A W product, never on a stored copy of A. Each Newton system
 (one for the predictor, one for the corrector) is a single dense LU solve
 of M, with a least-squares fallback when M is exactly singular.
 
+Each iterate, the final one included, is evaluated once, at the top of
+the loop: its objectives and residuals decide whether the solve stops
+there and are what it returns. Every converse program is feasible and
+bounded, so no divergence certificate is sought. A solve stops short in
+one of two ways: its steps collapse ("stalled") or it runs out of
+MAX_ITER steps ("iteration-limit").
+
 Every produced iterate is re-symmetrized, so Hermiticity is maintained to
 roundoff. The solve is deterministic for identical input data.
 """
@@ -245,12 +252,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the SDP; see module docstring for the algorithm.
 
     Status is "optimal" when the relative duality gap and scaled
-    primal/dual residuals meet their tolerances, "iteration-limit" when
-    progress stops first, and an infeasibility status when the iterates
-    produce a diverging certificate. A solve that stops without reaching
-    the tolerances returns the last iterate that met the looser end-point
-    contract (``_meets_contract``) as "optimal". Every declared block is
-    returned full size, reassembled from its sub-blocks.
+    primal/dual residuals meet their tolerances, "stalled" when the steps
+    collapse first, and "iteration-limit" when MAX_ITER steps are taken
+    first. A solve that stops short either way returns the last iterate
+    that met the looser end-point contract (``_meets_contract``) as
+    "optimal", with the objectives and residuals of its one evaluation.
+    ``iterations`` is k when the k-th evaluation meets the tolerances or
+    the k-th step collapses, and MAX_ITER when the steps run out. Every
+    declared block is returned full size, reassembled from its sub-blocks.
     """
     sf = _StandardForm(problem)
     m = sf.m
@@ -290,25 +299,18 @@ def solve(problem: SdpProblem) -> SdpSolution:
     y = np.zeros(m)
 
     status = "iteration-limit"
-    it = 0
-    contract_iterate = None  # the last (X, S, y) that met the end-point contract
-    for it in range(1, MAX_ITER + 1):
+    last_contract = None  # (X, S, y, pobj, dobj, residuals) of the last contract iterate
+    for it in range(1, MAX_ITER + 2):
         pobj, dobj, rp, Rd, residuals = _residuals(sf, X, S, y, b_scale, c_scale)
-        mu = _inner(X, S) / n_total
         if max(residuals["primal"], residuals["dual"]) <= TOL_FEAS \
                 and residuals["relative_gap"] <= TOL_GAP:
             status = "optimal"
             break
         if _meets_contract(residuals):
-            contract_iterate = X, S, y
-        # divergence heuristics for infeasible problems
-        if np.linalg.norm(y) > 1e13 * b_scale and dobj > 0:
-            status = "primal-infeasible"
+            last_contract = X, S, y, pobj, dobj, residuals
+        if it > MAX_ITER:
             break
-        trace = max(float(np.trace(xk, axis1=-2, axis2=-1).real.max()) for xk in X)
-        if trace > 1e13 * n_total * b_scale and pobj < 0:
-            status = "dual-infeasible"
-            break
+        mu = _inner(X, S) / n_total
 
         W, G, G_inv, D = zip(*(_nt_scaling(xk, sk) for xk, sk in zip(X, S)))
         M = _schur(sf, W)
@@ -353,28 +355,23 @@ def solve(problem: SdpProblem) -> SdpSolution:
         ap = min(1.0, STEP_FRACTION * _max_step(D, dx_hat))
         ad = min(1.0, STEP_FRACTION * _max_step(D, ds_hat))
         if not np.isfinite(ap) or not np.isfinite(ad) or ap < 1e-10 or ad < 1e-10:
+            status = "stalled"
             break
         X = [linalg.hermitian_part(xk + ap * d) for xk, d in zip(X, dX)]
         S = [linalg.hermitian_part(sk + ad * d) for sk, d in zip(S, dS)]
         y = y + ad * dy
 
-    pobj, dobj, _, _, residuals = _residuals(sf, X, S, y, b_scale, c_scale)
-    if status == "iteration-limit":
-        # accept a mildly degraded endpoint that meets the contract, else the
-        # last iterate that did: late iterates can drift off it once the
-        # Schur matrix is near singular
-        if _meets_contract(residuals):
-            status = "optimal"
-        elif contract_iterate is not None:
-            X, S, y = contract_iterate
-            pobj, dobj, _, _, residuals = _residuals(sf, X, S, y, b_scale, c_scale)
-            status = "optimal"
+    if status != "optimal" and last_contract is not None:
+        # late iterates can drift off the contract once the Schur matrix is
+        # near singular
+        X, S, y, pobj, dobj, residuals = last_contract
+        status = "optimal"
     return SdpSolution(
         primal_blocks=sf.problem_blocks(X),
         dual_multipliers=obj_scale * y,
         primal_objective=obj_scale * pobj,
         dual_objective=obj_scale * dobj,
         status=status,
-        iterations=it,
+        iterations=min(it, MAX_ITER),
         residuals=residuals,
     )

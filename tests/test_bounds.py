@@ -55,6 +55,16 @@ class TestEaBound:
         assert dual.epsilon == 0.0
         assert dual.diagnostics["eps_solved"] == 1e-9
         assert "eps_solved" not in ea_bound_dual(DEPOL, MU2, 0.05).diagnostics
+        # the classical converse keeps its solve's diagnostics, at an optimised
+        # input and at a fixed one
+        w = np.array([[0.9, 0.2], [0.1, 0.8]])
+        for p in (None, np.array([0.3, 0.7])):
+            res = classical_converse(w, 0.0, p=p)
+            assert res.epsilon == 0.0
+            assert res.diagnostics["eps_solved"] == 1e-9
+            assert {"iterations", "primal", "dual", "relative_gap",
+                    "dual_objective", "input_distribution", "wall_s"} <= res.diagnostics.keys()
+            assert "eps_solved" not in classical_converse(w, 0.05, p=p).diagnostics
 
     def test_solver_failure_names_iterations(self, monkeypatch):
         monkeypatch.setattr(sdp.solver, "MAX_ITER", 2)
@@ -580,7 +590,7 @@ class TestInvariantPrograms:
         # was the sum of d² over the blocks
         (2, 3, 23, 0.1, TestClass.ALL),
         (2, 3, 3, 0.01, TestClass.ALL),
-        # the reduced program still stops at the iteration limit
+        # the reduced program still stops short: its steps collapse
         pytest.param(2, 2, 1, 0.01, TestClass.ALL,
                      marks=pytest.mark.xfail(strict=True, raises=bounds.SolverFailure))])
     def test_reduced_equals_unreduced(self, d_in, d_out, seed, eps, cls):

@@ -228,17 +228,28 @@ class TestSolverContracts:
         assert reset.dual_objective != first.dual_objective
         same(reset, solve(build(0.2)))
 
-    def test_primal_infeasible_detected(self):
-        prob = SdpProblem([1])
-        prob.set_objective(0, [[1.0]])
-        prob.add_constraint({0: [[1.0]]}, -1.0)
-        assert solve(prob).status == "primal-infeasible"
+    def test_each_iterate_is_evaluated_once(self, rng, monkeypatch):
+        calls = []
+        residuals = solver._residuals
+        monkeypatch.setattr(solver, "_residuals", lambda *a: calls.append(1) or residuals(*a))
+        sol = solve(_random_strictly_feasible(rng, [3, 2], 4))
+        assert sol.status == "optimal"
+        assert len(calls) == sol.iterations
 
-    def test_dual_infeasible_detected(self):
-        prob = SdpProblem([1, 1])
-        prob.set_objective(0, [[-1.0]])
-        prob.add_constraint({1: [[1.0]]}, 1.0)
-        assert solve(prob).status == "dual-infeasible"
+    @pytest.mark.parametrize("blocks, objective, row, rhs", [
+        # min x s.t. x = -1 on the 1x1 block x >= 0: infeasible
+        (1, 1.0, {0: [[1.0]]}, -1.0),
+        # min -x s.t. s = 1 on 1x1 blocks x, s: x is in no row, so the
+        # program is unbounded
+        (2, -1.0, {1: [[1.0]]}, 1.0),
+    ], ids=["infeasible", "unbounded"])
+    def test_infeasible_or_unbounded_program_is_never_optimal(self, blocks, objective, row, rhs):
+        prob = SdpProblem([1] * blocks)
+        prob.set_objective(0, [[objective]])
+        prob.add_constraint(row, rhs)
+        assert solve(prob).status == "stalled"
+        with pytest.raises(bounds.SolverFailure, match="status stalled after"):
+            bounds._solve(prob)
 
     def test_singular_schur_system_falls_back_to_least_squares(self, monkeypatch):
         # min x0 + 2 x1 s.t. x0 + x1 = 1, the row declared twice: the Schur
