@@ -128,8 +128,8 @@ def _require_class(cls: TestClass) -> None:
 
 
 # imaginary part, relative to the whole in Frobenius norm, below which data is
-# read as real: the depolarising Choi matrix built from its complex Kraus
-# operators has imaginary parts of about 1e-17
+# read as real: a real channel given by complex Kraus operators, such as the
+# Heisenberg-Weyl ones, has a Choi matrix with imaginary parts of about 1e-17
 REAL_RTOL = 64 * np.finfo(float).eps
 
 
@@ -306,6 +306,20 @@ def check_fixed_input(channel: QuantumChannel, rho: DensityMatrix | None,
     return da, channel.dim_out**n
 
 
+def check_optimised_input(channel: QuantumChannel, n: int) -> bool:
+    """Check that ``ea_bound_opt_rho`` takes n uses of ``channel`` from its R rows alone,
+    and return whether its program is real; the CLI checks each n with it before any solve."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    real = _is_real(channel.choi)
+    # each of the blocks R >= 0 and R <= rho_ref ⊗ I packs at least one entry per R
+    # row (sum f s² >= sum s², the complex row count), held by every R row and by the
+    # solver's copy: 4 rows² entries, of 8 bytes when real and 16 when complex, at least
+    rows = sdp.problem.invariant_size(channel.dim_in * channel.dim_out, n, real)
+    sdp.problem.check_program_bytes((32 if real else 64) * rows * rows)
+    return real
+
+
 def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float | Sequence[float],
              cls: TestClass = TestClass.ALL, n: int = 1) -> BoundResult | list[BoundResult]:
     """Converse bound for n uses of ``channel`` at a fixed average input
@@ -372,18 +386,10 @@ def ea_bound_opt_rho(channel: QuantumChannel, eps: float | Sequence[float],
     over the real symmetric ones among those: 84 rows. The n-use channel is
     built only after those rows are admitted, so an oversized program is
     rejected before ``quantum.tensor_power`` runs; one whose R rows alone
-    are over the limit is rejected before any frame is sized.
+    are over the limit is rejected before any frame is sized (``check_optimised_input``).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    real = check_optimised_input(channel, n)
     da, db = channel.dim_in, channel.dim_out
-    real = _is_real(channel.choi)
-    # each of the blocks R >= 0 and R <= rho_ref ⊗ I packs at least one entry per
-    # R row (sum f s² >= sum s², the complex row count), held by every R row and
-    # by the solver's copy: 4 rows² entries at least, of 8 bytes when real and 16
-    # when complex, checked before sizing frames takes time in n
-    rows = sdp.problem.invariant_size(da * db, n, real)
-    sdp.problem.check_program_bytes((32 if real else 64) * rows * rows)
     return _per_eps(eps, lambda eps_list: _ea_bound(
         (da**n, db**n), lambda: quantum.tensor_power(channel, n).choi, eps_list, cls,
         None, sdp.invariant_basis((da, db), n, real), sdp.invariant_basis((da,), n, real),

@@ -28,6 +28,7 @@ Exit codes: 0 success, 2 validation error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -135,22 +136,33 @@ def parse_eps_list(text: str) -> list[float]:
     return values
 
 
-def parse_n_list(text: str) -> list[int]:
-    out: list[int] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ".." in tok:
-            a, b = (int(x) for x in tok.split(".."))
-            if b < a:
-                raise ValueError(f"n range {tok!r} ends below its start")
-            out.extend(range(a, b + 1))
-        else:
-            out.append(int(tok))
-    if not out or min(out) < 1:
+class _NValues:
+    """The n values of an --n list in order, each a..b held as a range."""
+
+    def __init__(self, ranges: list[range]):
+        self.ranges = ranges
+
+    def __len__(self) -> int:
+        return sum(map(len, self.ranges))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.ranges)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+
+def parse_n_list(text: str) -> _NValues:
+    """Comma-separated n values and inclusive a..b ranges, none expanded."""
+    ranges = []
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        a, b = (int(x) for x in tok.split("..")) if ".." in tok else (int(tok),) * 2
+        if b < a:
+            raise ValueError(f"n range {tok!r} ends below its start")
+        ranges.append(range(a, b + 1))
+    if not ranges or min(r.start for r in ranges) < 1:
         raise ValueError(f"n values must be >= 1: {text!r}")
-    return out
+    return _NValues(ranges)
 
 
 def emit_rows(rows: list[tuple], path: str, form: str) -> None:
@@ -177,7 +189,7 @@ def emit_rows(rows: list[tuple], path: str, form: str) -> None:
             fh.write(text)
 
 
-def _grid(args, ns: list[int], eps_list: list[float], bound) -> int:
+def _grid(args, ns, eps_list: list[float], bound) -> int:
     """Evaluate ``bound(n, eps_list)``, one result per eps, at each n and emit
     the rows; a row's wall_ms is its result's ``diagnostics["wall_s"]``."""
     rows = []
@@ -189,11 +201,11 @@ def _grid(args, ns: list[int], eps_list: list[float], bound) -> int:
     return 0
 
 
-def _single(values: list, flag: str):
+def _single(values, flag: str):
     """The one value of a scalar flag; a list or range of several is an error."""
     if len(values) != 1:
         raise ValueError(f"{flag} takes one value, got {len(values)}")
-    return values[0]
+    return next(iter(values))
 
 
 def cmd_depol(args) -> int:
@@ -208,16 +220,18 @@ def cmd_bound(args) -> int:
     eps_list = parse_eps_list(args.eps)
     ns = parse_n_list(args.n)
     cls = TestClass(args.cls.upper())
-    if args.rho == "optimize":
-        return _grid(args, ns, eps_list,
-                     lambda n, eps_list: bounds.ea_bound_opt_rho(channel, eps_list, cls, n))
-    rho = None if args.rho == "maximally-mixed" else load_state(args.rho)
-    # every n must fit its program and the state before the first solve, not
-    # when the grid reaches it
-    for n in ns:
-        bounds.check_fixed_input(channel, rho, n)
-    return _grid(args, ns, eps_list,
-                 lambda n, eps_list: bounds.ea_bound(channel, rho, eps_list, cls, n))
+    opt = args.rho == "optimize"
+    rho = None if opt or args.rho == "maximally-mixed" else load_state(args.rho)
+    # every n must fit its program (and the state) before the first solve, not when
+    # the grid reaches it; the largest first, so that a long range is rejected at once
+    for n in itertools.chain([max(r[-1] for r in ns.ranges)], ns):
+        if opt:
+            bounds.check_optimised_input(channel, n)
+        else:
+            bounds.check_fixed_input(channel, rho, n)
+    return _grid(args, ns, eps_list, lambda n, eps_list: (
+        bounds.ea_bound_opt_rho(channel, eps_list, cls, n) if opt
+        else bounds.ea_bound(channel, rho, eps_list, cls, n)))
 
 
 def cmd_classical(args) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 
 STATE_ATOL = 1e-10
-MAX_TENSOR_BYTES = 2**30  # Kraus operators plus Choi matrix that tensor_power may build
+MAX_TENSOR_BYTES = 2**30  # the Choi matrix that tensor_power may build
 
 
 class DensityMatrix:
@@ -69,13 +69,12 @@ def canonical_purification(rho: DensityMatrix) -> DensityMatrix:
 
 
 class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form, held as complex128.
+    """Completely positive trace-preserving map, held as its Choi operator ``choi``,
+    J = (id ⊗ E)(Φ) on (reference ⊗ output), complex128; from Kraus operators K_k,
+    J = Σ_k vec(K_k) vec(K_k)† in Kraus order, with vec(K) = Σ_i |i> ⊗ K|i>. No
+    Kraus list is kept: every function of this module reads the channel through J."""
 
-    The Choi operator ``(id ⊗ E)(Φ)`` on (reference ⊗ output) is computed
-    once at construction and cached.
-    """
-
-    __slots__ = ("dim_in", "dim_out", "kraus", "choi")
+    __slots__ = ("dim_in", "dim_out", "choi")
 
     def __init__(self, kraus: list[np.ndarray], atol: float = STATE_ATOL):
         kraus = [linalg.require_matrix(np.asarray(m, dtype=complex)) for m in kraus]
@@ -84,33 +83,42 @@ class QuantumChannel:
         dim_out, dim_in = kraus[0].shape
         if any(m.shape != (dim_out, dim_in) for m in kraus):
             raise ValueError("Kraus operators must share a common shape")
-        total = sum(m.conj().T @ m for m in kraus)
-        dev = np.abs(total - np.eye(dim_in)).max()
-        if dev > atol:
-            raise ValueError(f"channel is not trace preserving: ||sum M†M - I|| = {dev:.3e}")
-        self.dim_in = dim_in
-        self.dim_out = dim_out
-        self.kraus = kraus
-        self.choi = apply_channel_second(kraus, max_entangled_op(dim_in), dim_in)
+        choi = _gram([m.T.reshape(-1) for m in kraus], dim_in * dim_out)
+        _channel(choi, dim_in, dim_out, atol, self)
 
     def __repr__(self) -> str:
-        return f"QuantumChannel({self.dim_in}->{self.dim_out}, {len(self.kraus)} Kraus)"
+        return f"QuantumChannel({self.dim_in}->{self.dim_out})"
 
     def apply_mat(self, x: np.ndarray) -> np.ndarray:
-        x = linalg.require_matrix(x)
-        if x.shape != (self.dim_in, self.dim_in):
-            raise ValueError(f"input dim {x.shape[0]} != channel input dim {self.dim_in}")
-        return sum(m @ x @ m.conj().T for m in self.kraus)
+        """E(x), for x on the input space."""
+        return apply_channel_second(self, x, 1)
+
+
+def _gram(vectors: list[np.ndarray], dim: int) -> np.ndarray:
+    """Σ_k v_k v_k† over ``vectors`` of C^dim in order, complex."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for v in vectors:
+        out += np.outer(v, v.conj())
+    return out
+
+
+def _channel(choi: np.ndarray, dim_in: int, dim_out: int, atol: float | None = None,
+             chan: QuantumChannel | None = None) -> QuantumChannel:
+    """``chan``, or a new channel, holding ``choi``; with ``atol``, checked trace preserving."""
+    if atol is not None:
+        dev = np.abs(linalg.partial_trace(choi, (dim_in, dim_out), "b") - np.eye(dim_in)).max()
+        if dev > atol:
+            raise ValueError(f"channel is not trace preserving: ||Tr_out J - I|| = {dev:.3e}")
+    chan = QuantumChannel.__new__(QuantumChannel) if chan is None else chan
+    chan.dim_in, chan.dim_out, chan.choi = dim_in, dim_out, choi
+    return chan
 
 
 def channel_from_choi(choi: np.ndarray, dim_in: int, dim_out: int,
                       atol: float = STATE_ATOL) -> QuantumChannel:
-    """Reconstruct a Kraus representation from a Choi operator.
-
-    Eigenvectors of the Choi operator with eigenvalue above the PSD
-    tolerance become Kraus operators; the reconstructed channel's Choi
-    operator is checked against the input.
-    """
+    """The channel with a given PSD Choi operator. It holds the sum of w v v†
+    over the eigenpairs above the PSD tolerance, checked to be trace
+    preserving and to match the input."""
     choi = linalg.require_hermitian(choi)
     if choi.shape != (dim_in * dim_out, dim_in * dim_out):
         raise ValueError(f"Choi shape {choi.shape} does not match dims {dim_in}x{dim_out}")
@@ -118,13 +126,8 @@ def channel_from_choi(choi: np.ndarray, dim_in: int, dim_out: int,
     wmax = max(w.max(), 0.0)
     if w.min() < -max(atol, 1e-12 * wmax):
         raise ValueError(f"Choi operator is not PSD: min eigenvalue {w.min():.3e}")
-    kraus = []
-    for k in range(len(w)):
-        if w[k] > max(atol, 1e-14 * wmax):
-            # column vector on (ref ⊗ out) reshapes to a (ref, out) matrix;
-            # the Kraus operator is its transpose scaled by sqrt(eigenvalue)
-            kraus.append(np.sqrt(w[k]) * v[:, k].reshape(dim_in, dim_out).T)
-    chan = QuantumChannel(kraus, atol=atol)
+    kept = [np.sqrt(w[k]) * v[:, k] for k in range(len(w)) if w[k] > max(atol, 1e-14 * wmax)]
+    chan = _channel(_gram(kept, len(w)), dim_in, dim_out, atol)
     dev = np.abs(chan.choi - choi).max()
     if dev > max(atol, 1e-10 * (1 + wmax)):
         raise ValueError(f"Choi reconstruction mismatch {dev:.3e}")
@@ -132,7 +135,7 @@ def channel_from_choi(choi: np.ndarray, dim_in: int, dim_out: int,
 
 
 def identity_channel(d: int) -> QuantumChannel:
-    return QuantumChannel([np.eye(d, dtype=complex)])
+    return _channel(max_entangled_op(d), d, d)
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -140,89 +143,64 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(linalg.hermitian_part(channel.apply_mat(rho.mat)))
 
 
-def apply_channel_second(channel, x: np.ndarray, dim_first: int | None = None) -> np.ndarray:
-    """Apply a channel to the second factor of a bipartite operator.
-
-    ``channel`` may be a QuantumChannel or a raw Kraus list. The first
-    factor's dimension is inferred from the operator unless given.
-    """
-    kraus = channel.kraus if isinstance(channel, QuantumChannel) else channel
+def apply_channel_second(channel: QuantumChannel, x: np.ndarray,
+                         dim_first: int | None = None) -> np.ndarray:
+    """Apply a channel to the second factor of a bipartite operator through its
+    Choi matrix, (id ⊗ E)(X)_(a,o),(b,p) = Σ_ij X_(a,i),(b,j) J_(i,o),(j,p); the
+    first factor's dimension is inferred from the operator unless given."""
     x = linalg.require_matrix(x)
-    dim_out, dim_in = kraus[0].shape
+    dim_in, dim_out = channel.dim_in, channel.dim_out
     if dim_first is None:
         if x.shape[0] % dim_in != 0:
             raise ValueError(f"operator dim {x.shape[0]} not divisible by channel input {dim_in}")
         dim_first = x.shape[0] // dim_in
     if x.shape[0] != dim_first * dim_in:
         raise ValueError(f"operator dim {x.shape[0]} != {dim_first}*{dim_in}")
-    t = x.reshape(dim_first, dim_in, dim_first, dim_in)
-    out = np.zeros((dim_first, dim_out, dim_first, dim_out), dtype=complex)
-    for m in kraus:
-        out += np.einsum("oi,aibj,pj->aobp", m, t, m.conj(), optimize=True)
+    out = np.einsum("aibj,iojp->aobp", x.reshape(dim_first, dim_in, dim_first, dim_in),
+                    channel.choi.reshape(dim_in, dim_out, dim_in, dim_out), optimize=True)
     return out.reshape(dim_first * dim_out, dim_first * dim_out)
 
 
 def depolarising_channel(d: int, p: float) -> QuantumChannel:
-    """Depolarising channel: τ ↦ (1-p) τ + p Tr(τ) I/d.
-
-    Kraus set: sqrt(1 - p + p/d²) · I plus the d²-1 non-identity
-    Heisenberg-Weyl unitaries weighted by sqrt(p/d²).
-    """
+    """Depolarising channel τ ↦ (1-p) τ + p Tr(τ) I/d: Choi matrix (1 - p) Φ + (p/d) I ⊗ I."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarising parameter must be in [0, 1], got {p}")
-    omega = np.exp(2j * np.pi / d)
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    clock = np.diag(omega ** np.arange(d))
-    kraus = [np.sqrt(1.0 - p + p / d**2) * np.eye(d, dtype=complex)]
-    w = np.sqrt(p / d**2)
-    if w > 0.0:
-        for a in range(d):
-            for b in range(d):
-                if a == 0 and b == 0:
-                    continue
-                kraus.append(w * np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return QuantumChannel(kraus)
+    return _channel((1.0 - p) * max_entangled_op(d) + (p / d) * np.eye(d * d), d, d)
 
 
 def constant_channel(sigma: DensityMatrix, dim_in: int) -> QuantumChannel:
-    """Channel whose output is ``sigma`` regardless of the input."""
-    w, v = np.linalg.eigh(sigma.mat)
-    kraus = []
-    for k in range(sigma.dim):
-        if w[k] > 1e-14:
-            col = np.sqrt(w[k]) * v[:, k]
-            for i in range(dim_in):
-                m = np.zeros((sigma.dim, dim_in), dtype=complex)
-                m[:, i] = col
-                kraus.append(m)
-    return QuantumChannel(kraus)
+    """Channel whose output is ``sigma`` regardless of the input: Choi matrix I ⊗ sigma."""
+    return _channel(np.kron(np.eye(dim_in), sigma.mat), dim_in, sigma.dim)
 
 
 def tensor_channels(e1: QuantumChannel, e2: QuantumChannel) -> QuantumChannel:
-    """Parallel composition E1 ⊗ E2 with Kraus products."""
-    kraus = [np.kron(m, n) for m in e1.kraus for n in e2.kraus]
-    return QuantumChannel(kraus)
+    """Parallel composition E1 ⊗ E2: its Choi matrix is J1 ⊗ J2, each entry one
+    product, with the factors reordered to (ref 1, ref 2) ⊗ (out 1, out 2)."""
+    (a, b), (c, d) = (e1.dim_in, e1.dim_out), (e2.dim_in, e2.dim_out)
+    choi = np.empty((a * c * b * d,) * 2, dtype=complex)
+    view = choi.reshape(a, c, b, d, a, c, b, d).transpose(0, 2, 4, 6, 1, 3, 5, 7)
+    np.multiply.outer(e1.choi.reshape(a, b, a, b), e2.choi.reshape(c, d, c, d), out=view)
+    return _channel(choi, a * c, b * d)
 
 
 def tensor_power(channel: QuantumChannel, n: int) -> QuantumChannel:
-    """n-fold parallel composition of a channel with itself.
-
-    The result holds K^n Kraus operators of d_out^n × d_in^n and a
-    (d_in·d_out)^n-square Choi matrix, all complex; when those exceed
-    ``MAX_TENSOR_BYTES`` it raises ``ValueError`` before building anything.
-    """
+    """n-fold parallel composition of a channel with itself, by repeated squaring with
+    ``tensor_channels`` (J ⊗ J at n = 2, (J ⊗ J) ⊗ J at n = 3, 2 log2 n products at
+    most). Its (d_in·d_out)^n-square complex Choi matrix is checked against
+    ``MAX_TENSOR_BYTES`` before anything is built (``ValueError``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d_in, d_out = channel.dim_in**n, channel.dim_out**n
-    size = 16 * (len(channel.kraus)**n * d_out * d_in + (d_in * d_out)**2)
-    if size > MAX_TENSOR_BYTES:
-        raise ValueError(f"tensor power needs {size} bytes, over the cap {MAX_TENSOR_BYTES}")
-    out = channel
-    for _ in range(n - 1):
-        out = tensor_channels(out, channel)
-    return out
+    # D = d_in d_out >= 2 is over the cap by log2(cap) uses: D^2n is not formed past them
+    uses = min(n, MAX_TENSOR_BYTES.bit_length())
+    if 16 * (channel.dim_in * channel.dim_out) ** (2 * uses) > MAX_TENSOR_BYTES:
+        raise ValueError(f"the Choi matrix of {n} uses is over the {MAX_TENSOR_BYTES}-byte cap")
+    if n == 1:
+        return channel
+    half = tensor_power(channel, n // 2)
+    square = tensor_channels(half, half)
+    return tensor_channels(square, channel) if n % 2 else square
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -280,10 +258,8 @@ class Code:
 
     def success_probability(self, channel: QuantumChannel) -> float:
         """Average probability of correct decoding over equiprobable messages."""
-        total = 0.0
-        for state, effect in zip(self.input_states, self.decoder_povm):
-            total += float(np.trace(effect @ channel.apply_mat(state.mat)).real)
-        return total / self.size
+        return sum(float(np.trace(effect @ channel.apply_mat(state.mat)).real)
+                   for state, effect in zip(self.input_states, self.decoder_povm)) / self.size
 
 
 def code_to_test(code: Code, rho: DensityMatrix, atol: float = STATE_ATOL) -> np.ndarray:

@@ -368,7 +368,7 @@ def invariant_basis(dims: tuple[int, ...], n: int, real: bool = False) -> Basis:
     dtype = float if real else complex
 
     def elements():
-        orbit = _use_orbits(dims, n)
+        orbit = _use_orbits(dims, n if d_loc > 1 else 1)  # one unit at any n
         rows, cols = np.triu_indices(len(orbit))
         pair = np.minimum(orbit, orbit.T)[rows, cols]
         for t in np.sort(np.unique(pair, return_index=True)[1]):
@@ -408,6 +408,8 @@ def _schur_weyl_runs(d: int, n: int) -> list[tuple[int, int]]:
     the uses, as decreasing (size, count) runs: for each partition λ of n into at
     most d parts, padded to d, with l_i = λ_i + d - i and Δ = Π_{i<j} (l_i - l_j),
     Δ / Π_{i<j} (j - i) for the GL(d) irrep λ (Weyl), n! Δ / Π l_i! for S_n's (Frobenius)."""
+    if d == 1:  # one block of size 1 at any n, without n!
+        return [(1, 1)]
     pairs = list(itertools.combinations(range(d), 2))
     runs = []
     for lam in _partitions(n, d, n):
@@ -433,7 +435,8 @@ def invariant_frame(dims: tuple[int, ...], n: int) -> Frame | None:
     eigenspaces are the Schur-Weyl ones, one of dimension m_λ for each of the
     d_λ copies of each irrep λ. Every copy is kept, so the frame spans the
     whole space. Its groups are in decreasing size, ties in increasing
-    eigenvalue; their sizes are known before U is built.
+    eigenvalue; their sizes are known before U is built. A one-dimensional
+    space is its own frame, built without listing any permutation.
     """
     if n < 2:
         return None
@@ -463,7 +466,7 @@ def invariant_frame(dims: tuple[int, ...], n: int) -> Frame | None:
         groups.sort(key=lambda g: (-len(g), w[g[0]]))
         return v[:, np.concatenate(groups)]
 
-    return Frame(runs, build)
+    return Frame(runs, build if size > 1 else None)
 
 
 def hermitian_basis(d: int, real: bool = False) -> Basis:

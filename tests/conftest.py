@@ -45,6 +45,19 @@ def rand_real_channel(rng, d_in: int, d_out: int, kraus_count: int = 2) -> quant
     return quantum.QuantumChannel([q[i * d_out:(i + 1) * d_out, :] for i in range(kraus_count)])
 
 
+# the qubit depolarising channel at p = 0.15 by its Pauli Kraus operators,
+# sqrt(1 - 3p/4) I and sqrt(p/4) X, Y, Z
+PAULI_KRAUS = [np.sqrt(0.8875) * np.eye(2)] + [np.sqrt(0.0375) * np.array(m) for m in (
+    [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+
+
+def sixty_four_kraus_depol() -> quantum.QuantumChannel:
+    """The same channel as 64 Kraus operators sum_k V[j, k] K_k, for a fixed
+    real 64 x 4 isometry V and the Pauli operators K_k."""
+    v, _ = np.linalg.qr(np.random.default_rng(64).normal(size=(64, 4)))
+    return quantum.QuantumChannel([sum(c * k for c, k in zip(row, PAULI_KRAUS)) for row in v])
+
+
 def rand_povm(rng, d: int, m: int) -> list[np.ndarray]:
     parts = []
     for _ in range(m):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (rand_channel, rand_classical_channel, rand_povm, rand_real_channel,
-                      rand_state)
+from conftest import (PAULI_KRAUS, rand_channel, rand_classical_channel, rand_povm,
+                      rand_real_channel, rand_state, sixty_four_kraus_depol)
 from oracles import classical_converse_bits, identity_opt_input_bound
 from qconv import bounds, cli, linalg, quantum, sdp
 from qconv.bounds import (TestClass, binary_entropy, binary_relative_entropy,
@@ -25,9 +25,10 @@ from qconv.quantum import (Code, DensityMatrix, apply_channel, apply_channel_sec
                            tensor_power)
 
 DEPOL = depolarising_channel(2, 0.15)
-# DEPOL followed by the phase gate diag(1, i): its Choi matrix is complex, and the
-# gate, a unitary on the output, leaves every converse value as DEPOL's
-PHASE_DEPOL = quantum.QuantumChannel([np.diag([1.0, 1j]) @ m for m in DEPOL.kraus])
+# DEPOL, by its Pauli Kraus operators, followed by the phase gate diag(1, i): its
+# Choi matrix is complex, and the gate, a unitary on the output, leaves every
+# converse value as DEPOL's
+PHASE_DEPOL = quantum.QuantumChannel([np.diag([1.0, 1j]) @ k for k in PAULI_KRAUS])
 MU2 = maximally_mixed(2)
 BINOMIAL_BITS_005 = 0.5849625007211562  # -log2(2/3)
 
@@ -259,8 +260,8 @@ class TestProgramLimits:
         assert peak < 2**20
 
     @staticmethod
-    def _four_optimised_bytes(monkeypatch, cls):
-        """The bytes ``ea_bound_opt_rho(DEPOL, n=4)`` admits, with no operator
+    def _four_optimised_bytes(monkeypatch, cls, channel=DEPOL):
+        """The bytes ``ea_bound_opt_rho(channel, n=4)`` admits, with no operator
         row built and the solve never reached."""
         class Admitted(Exception):
             pass
@@ -271,8 +272,16 @@ class TestProgramLimits:
         monkeypatch.setattr(sdp.problem.Basis, "__iter__", lambda basis: iter(()))
         monkeypatch.setattr(bounds, "_solve", stop)
         with pytest.raises(Admitted) as admitted:
-            ea_bound_opt_rho(DEPOL, 0.05, cls, n=4)
+            ea_bound_opt_rho(channel, 0.05, cls, n=4)
         return admitted.value.args[0]
+
+    def test_four_optimised_uses_of_sixty_four_kraus_operators_are_admitted(self, monkeypatch):
+        # the program, like the Choi matrix, does not grow with the Kraus count:
+        # 64 Kraus operators for DEPOL give its 4-Kraus program and bytes
+        many = sixty_four_kraus_depol()
+        assert self._four_optimised_bytes(monkeypatch, TestClass.ALL, many) == \
+            self._four_optimised_bytes(monkeypatch, TestClass.ALL)
+        assert tensor_power(many, 4).dim_in == 16
 
     def test_four_optimised_uses_are_admitted(self, monkeypatch):
         # 1,996 real invariant R rows on two 256 x 256 blocks, each split into
@@ -893,10 +902,14 @@ class TestRealPrograms:
         assert probs[0].dtype == np.complex128 and len(probs[0].constraints) == 16 + 1
 
     def test_roundoff_is_read_as_real(self):
-        # the depolarising Choi matrix carries imaginary parts of about 1e-17
-        # from its complex Kraus operators
-        assert np.abs(DEPOL.choi.imag).max() > 0 and bounds._is_real(DEPOL.choi)
-        assert bounds._is_real(tensor_power(DEPOL, 3).choi)
+        # the qubit depolarising channel given by its Heisenberg-Weyl Kraus operators
+        # sqrt(1 - 3p/4) I and sqrt(p/4) X^a Z^b: the complex products carry
+        # imaginary parts of about 1e-17 into its Choi matrix
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1, np.exp(2j * np.pi / 2)])
+        hw = quantum.QuantumChannel([np.sqrt(0.8875) * np.eye(2)]
+                                    + [np.sqrt(0.0375) * m for m in (z, x, x @ z)])
+        assert np.abs(hw.choi.imag).max() > 0 and bounds._is_real(hw.choi)
+        assert bounds._is_real(tensor_power(hw, 3).choi)
         assert not bounds._is_real(PHASE_DEPOL.choi)
         assert not bounds._is_real(DEPOL.choi + 1e-12j * np.eye(4))
 

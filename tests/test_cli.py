@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -35,7 +37,10 @@ def _write_depol_choi(path, p=0.15):
 def _write_phase_depol_kraus(path, p=0.15):
     """The qubit depolarising channel followed by the phase gate diag(1, i),
     whose Choi matrix is complex, as Kraus operators."""
-    kraus = [np.diag([1.0, 1j]) @ m for m in quantum.depolarising_channel(2, p).kraus]
+    paulis = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0]))
+    weights = (1 - 0.75 * p, p / 4, p / 4, p / 4)
+    kraus = [np.diag([1.0, 1j]) @ (np.sqrt(q) * s) for q, s in zip(weights, paulis)]
     spec = {"dimIn": 2, "dimOut": 2, "representation": "kraus",
             "data": [_mat_to_pairs(m) for m in kraus]}
     path.write_text(json.dumps(spec))
@@ -97,6 +102,15 @@ class TestArgumentParsing:
             cli.parse_n_list("0..3")
         with pytest.raises(ValueError, match="below its start"):
             cli.parse_n_list("1,3..2")
+
+    def test_n_range_is_not_expanded(self):
+        tracemalloc.start()
+        try:
+            ns = cli.parse_n_list("1..2000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and len(ns) == 2000000
 
     def test_fmt_significant_digits(self):
         assert cli.fmt(1) == "1"
@@ -517,6 +531,44 @@ class TestExitCodes:
     def test_integer_flag_beyond_float_range_is_2(self, capsys, argv):
         assert cli.main([*argv, "--eps", "0.25"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["maximally-mixed", "optimize"])
+    def test_long_range_is_2_at_once(self, tmp_path, monkeypatch, capsys, rho):
+        # the range's largest n is checked first, and the range is not expanded
+        def unsolved(*args):
+            raise AssertionError("a rejected grid was solved")
+
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        monkeypatch.setattr(bounds, "_solve", unsolved)
+        start = time.perf_counter()
+        assert cli.main(["bound", "--channel", str(chan), "--eps", "0.1", "--rho", rho,
+                         "--n", "5..1000000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "GiB of constraint coefficients" in capsys.readouterr().err
+
+    def test_optimised_grid_is_2_before_its_first_solve(self, tmp_path, monkeypatch, capsys):
+        # 400 optimised uses are over the limit from their R rows: the grid
+        # exits 2 without solving its two-use program first
+        def unsolved(*args):
+            raise AssertionError("a rejected grid was solved")
+
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        monkeypatch.setattr(bounds, "_solve", unsolved)
+        assert cli.main(["bound", "--channel", str(chan), "--eps", "0.1", "--rho", "optimize",
+                         "--n", "2,400"]) == 2
+        assert "GiB of constraint coefficients" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["maximally-mixed", "optimize"])
+    def test_trivial_channel_at_any_n(self, tmp_path, capsys, rho):
+        # the 1 -> 1 channel has a one-row program at every n, which is
+        # built and solved in time independent of n: beta = 1 - eps
+        chan = _write_identity_channel(tmp_path / "triv.json", d=1)
+        start = time.perf_counter()
+        assert cli.main(["bound", "--channel", str(chan), "--eps", "0.1", "--rho", rho,
+                         "--n", "1000000000000"]) == 0
+        assert time.perf_counter() - start < 1.0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "1000000000000" and float(row[3]) == pytest.approx(0.9, abs=1e-6)
 
     def test_solver_failure_is_3(self, tmp_path, monkeypatch):
         chan = _write_identity_channel(tmp_path / "id.json")

@@ -1,10 +1,12 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_channel, rand_povm, rand_pure, rand_state
+from conftest import (PAULI_KRAUS, rand_channel, rand_povm, rand_pure, rand_state,
+                      sixty_four_kraus_depol)
 from qconv import linalg, quantum
 from qconv.quantum import (Code, DensityMatrix, apply_channel, apply_channel_second,
                            canonical_purification, channel_from_choi, code_to_test,
@@ -115,6 +117,22 @@ class TestChannels:
         with pytest.raises(ValueError, match="not divisible"):
             apply_channel_second(chan, rand_state(rng, 5).mat)
 
+    def test_application_is_the_kraus_sum(self, rng):
+        # the channel keeps no Kraus list; reading it through its Choi matrix
+        # gives the Kraus sums of the operators it was built from
+        for d_in, d_out in ((2, 2), (2, 3), (3, 2)):
+            g = rng.normal(size=(3 * d_out, d_in)) + 1j * rng.normal(size=(3 * d_out, d_in))
+            q, _ = np.linalg.qr(g)
+            kraus = [q[i * d_out:(i + 1) * d_out] for i in range(3)]
+            chan = quantum.QuantumChannel(kraus)
+            x = rand_state(rng, d_in).mat
+            assert_allclose(chan.apply_mat(x), sum(k @ x @ k.conj().T for k in kraus),
+                            rtol=0, atol=1e-14)
+            big = rand_state(rng, 2 * d_in).mat
+            lifted = [np.kron(np.eye(2), k) for k in kraus]
+            assert_allclose(apply_channel_second(chan, big, 2),
+                            sum(k @ big @ k.conj().T for k in lifted), rtol=0, atol=1e-14)
+
     def test_choi_roundtrip(self, rng):
         chan = rand_channel(rng, 3, 2, 3)
         back = channel_from_choi(chan.choi, 3, 2)
@@ -137,6 +155,30 @@ class TestTensorPower:
         double = np.linalg.eigvalsh(tensor_power(chan, 2).choi)
         expected = np.sort(np.outer(single, single).reshape(-1))
         assert_allclose(double, expected, atol=1e-10)
+
+    def test_five_uses_are_a_kronecker_power(self):
+        start = time.perf_counter()
+        out = tensor_power(depolarising_channel(2, 0.15), 5)
+        assert time.perf_counter() - start < 1.0
+        assert out.dim_in == out.dim_out == 32
+        assert_allclose(linalg.partial_trace(out.choi, (32, 32), "b"), np.eye(32), atol=1e-12)
+
+    def test_power_does_not_depend_on_the_kraus_count(self):
+        # 64 Kraus operators would make 262,144 three-use and 1.7e7 four-use
+        # Kraus products; the Choi matrix of the power has the same size either way
+        many, four = sixty_four_kraus_depol(), quantum.QuantumChannel(PAULI_KRAUS)
+        start = time.perf_counter()
+        cube = tensor_power(many, 3)
+        assert time.perf_counter() - start < 1.0
+        assert_allclose(cube.choi, tensor_power(four, 3).choi, rtol=0, atol=1e-15)
+        assert_allclose(tensor_power(many, 4).choi, tensor_power(four, 4).choi,
+                        rtol=0, atol=1e-14)
+
+    def test_trivial_channel_at_any_n(self):
+        start = time.perf_counter()
+        out = tensor_power(quantum.QuantumChannel([[[1.0]]]), 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert out.dim_in == out.dim_out == 1 and out.choi.tolist() == [[1.0]]
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="cap"):

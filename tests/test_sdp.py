@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -399,6 +400,17 @@ class TestBases:
             assert sum(s * s for s, _ in runs) == len(invariant_basis((d,), n))
             if d >= n:
                 assert sum(f * f for _, f in runs) == math.factorial(n)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_one_dimensional_space_at_any_n(self, real):
+        # n uses of C^1 are one unit and one block: no sum, list or unravelling
+        # over the uses, and no permutation of them
+        start = time.perf_counter()
+        assert _schur_weyl_runs(1, 10**12) == [(1, 1)]
+        frame = invariant_frame((1, 1), 10**12)
+        assert frame.runs == ((1, 1),) and frame.unitary is None
+        assert [e.tolist() for e in invariant_basis((1, 1), 10**12, real)] == [[[1.0]]]
+        assert time.perf_counter() - start < 1.0
 
     def test_frame_is_sized_without_listing_its_groups(self):
         # twenty uses of C⁴ split into about 9.9e8 sub-blocks: the frame's
