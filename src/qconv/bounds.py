@@ -28,8 +28,8 @@ invariant, so when the channel's Choi matrix (and a fixed input) is real,
 R and rho_ref take only the real symmetric coordinates of their basis, and
 the program is solved in real arithmetic (de Klerk, Pasechnik & Schrijver,
 Math. Program. 2007): the qubit depolarising channel's optimised two-use
-program has 84 rows instead of 147. Realness is read off the one-use data,
-up to ``REAL_RTOL``, before the n-use channel is built.
+program has 84 rows instead of 147. Realness is read off the one-use data
+(on a rank-deficient fixed input's support, ``ea_bound``), up to ``REAL_RTOL``.
 
 The same symmetry makes every coefficient of the program's blocks
 block-diagonal in a fixed frame, so each block is declared with it and
@@ -158,33 +158,27 @@ def _ea_problem(dims: tuple[int, int], choi, eps: float, cls: TestClass,
                 g_frame: sdp.Frame | None = None) -> sdp.SdpProblem:
     """Assemble the converse program as linear matrix inequalities.
 
-    The unknowns are the solver's dual variables y, in row order: the
-    coordinates of R in ``r_basis``, then y = -lambda (the solver
-    maximizes b·y = -lambda), then, with ``rho_ref is None``, the
-    coordinates of the variable input rho_ref in ``rho_basis``. Each
-    inequality is one PSD block of the solver's primal, whose dual slack
-    is C_k - sum_i y_i A_ik; no block has rows of its own. ``dims`` are
-    the input and output dimensions; ``choi()`` returns the channel's
-    Choi matrix and ``rho_ref()``, unless ``rho_ref`` is None, the fixed
-    reference state. Every block the R rows touch is declared before any
-    row, and the R rows are the first rows, so that a program over
-    ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected before either is called
-    or any coefficient is built. The 1x1 block lambda >= 0 follows the R
-    rows, just before the lambda row, its only row.
+    The unknowns are the solver's dual variables: the coordinates of R in
+    ``r_basis``, -lambda (the solver maximizes b·y = -lambda) and, with
+    ``rho_ref is None``, the coordinates of the variable input rho_ref in
+    ``rho_basis``. Each inequality is one PSD block of the solver's
+    primal, whose dual slack C_k - sum_i y_i A_ik is the inequality's
+    value; no block has rows of its own, and the solution is read off the
+    blocks (``_ea_bound``), so the row order is the program's own.
+    ``dims`` are the input and output dimensions; ``choi()`` returns the
+    channel's Choi matrix and ``rho_ref()``, unless ``rho_ref`` is None,
+    the fixed reference state. Every block the R rows touch is declared
+    before any row, and the R rows are the first rows, so that a program
+    over ``sdp.problem.MAX_PROGRAM_BYTES`` is rejected before either is
+    called or any coefficient is built.
 
     The program takes the dtype of ``r_basis`` (and ``rho_basis``, which
     must match): with real bases it is a real program, for a caller that
     has found the data real, and the data enters through its real part.
-
-    The blocks in R (R >= 0, R <= rho_ref ⊗ I and both PPT blocks) are
-    declared with ``r_basis.frame``, the rho_ref block with
-    ``rho_basis.frame`` and the adversary's block with ``g_frame``: the
+    The blocks in R are declared with ``r_basis.frame``, the rho_ref block
+    with ``rho_basis.frame`` and the adversary's with ``g_frame``: the
     symmetry that restricts R and rho_ref makes every coefficient on them
-    block-diagonal there.
-
-    eps enters only as the objective -(1 - eps) of the ``_ACC`` block, so
-    one program serves every eps: ``_ea_bound`` builds it once per (n,
-    class) and resets that entry with ``set_objective`` before each solve.
+    block-diagonal there. eps enters only as the ``_ACC`` objective.
     """
     da, db = dims
     dab = da * db
@@ -239,11 +233,11 @@ def _ea_bound(dims: tuple[int, int], choi, eps_list: list[float], cls: TestClass
     hold. ``diagnostics["wall_s"]`` is the wall time from the call, or from
     the previous result, to this one: the first eps carries the build.
 
-    beta = lambda = -(dual objective); R and rho_ref are rebuilt from the
-    dual variables in their bases, and the adversary's state is the
-    multiplier of the block lambda I - Tr_ref R. The solver's primal value
-    is the converse dual's, kept as a diagnostic. The returned matrices are
-    complex, whatever the program's dtype.
+    beta = lambda = -(dual objective). R is the dual slack of the block
+    R >= 0, rho_ref ⊗ I that of R >= 0 plus that of rho_ref ⊗ I - R >= 0,
+    and the adversary's state the multiplier of lambda I - Tr_ref R. The
+    solver's primal value is the converse dual's, kept as a diagnostic.
+    The returned matrices are complex, whatever the program's dtype.
     """
     _require_class(cls)
     solved = [_clamp_eps(eps) for eps in eps_list]
@@ -255,18 +249,19 @@ def _ea_bound(dims: tuple[int, int], choi, eps_list: list[float], cls: TestClass
     for eps, eps_c in zip(eps_list, solved):
         prob.set_objective(_ACC, [[-(1.0 - eps_c)]])
         solution = _solve(prob)
-        y = solution.dual_multipliers
+        r = linalg.hermitian_part(solution.dual_blocks[_POS])
         g = linalg.hermitian_part(solution.primal_blocks[_G]).astype(complex)
         rho_mat = None
         if rho_ref is None:
-            rho_opt = rho_basis.operator(y[len(r_basis) + 1:])
+            cap = linalg.hermitian_part(solution.dual_blocks[_CAP])
+            rho_opt = linalg.partial_trace(r + cap, dims, "b")
             rho_mat = (rho_opt / np.trace(rho_opt).real).T.astype(complex)
         diagnostics = dict(solution.residuals, iterations=solution.iterations,
                            dual_objective=-solution.primal_objective)
         if eps_c != eps:
             diagnostics["eps_solved"] = eps_c
         results.append(_result(-solution.dual_objective, eps, cls, n,
-                               optimal_r=r_basis.operator(y[:len(r_basis)]).astype(complex),
+                               optimal_r=r.astype(complex),
                                optimal_sigma=g / np.trace(g).real,
                                optimal_rho=rho_mat, diagnostics=diagnostics))
         now = time.perf_counter()
@@ -340,18 +335,37 @@ def ea_bound(channel: QuantumChannel, rho: DensityMatrix | None, eps: float | Se
     any symmetry of the channel, and restricting R for an input that does
     not would raise beta and report fewer bits than the converse. When the
     one-use Choi matrix and ``rho`` are real (``_is_real``), conjugation is
-    such a symmetry, and R ranges over the real symmetric operators. The
-    n-use channel and the maximally mixed state are built only after the
-    R rows are admitted, so an oversized program is rejected before
-    ``quantum.tensor_power`` runs, and one far over the limit before any
-    n-use dimension is formed (``check_fixed_input``).
+    such a symmetry, and R ranges over the real symmetric operators. A
+    program far over the size limit is rejected before any n-use dimension
+    is formed (``check_fixed_input``), and one over it before
+    ``quantum.tensor_power`` runs, unless ``rho`` is rank-deficient.
+
+    A rank-deficient ``rho`` is solved on its support, where the program has
+    an interior: R <= rho_ref ⊗ I vanishes off supp(rho_ref) ⊗ C^d_out, so
+    the Choi matrix's reference factor and rho_ref are restricted to the
+    eigenvectors V of rho_ref above ``linalg.SUPPORT_RTOL`` of its largest
+    eigenvalue, realness is read there, and R returns as (V ⊗ I) R (V ⊗ I)†.
     """
     da, db = check_fixed_input(channel, rho, n)
     ref = (lambda: np.eye(da, dtype=complex) / da) if rho is None else (lambda: _ref_state(rho))
     real = _is_real(channel.choi, *([] if rho is None else [rho.mat]))
-    return _per_eps(eps, lambda eps_list: _ea_bound(
-        (da, db), lambda: quantum.tensor_power(channel, n).choi, eps_list, cls,
-        ref, sdp.hermitian_basis(da * db, real), n=n))
+    choi, embed = (lambda: quantum.tensor_power(channel, n).choi), None
+    if rho is not None:
+        w, v = linalg.eigh(_ref_state(rho))
+        keep = w > linalg.SUPPORT_RTOL * w.max()
+        if not keep.all():
+            embed = np.kron(v[:, keep], np.eye(db))
+            choi_v, ref_v = embed.conj().T @ choi() @ embed, np.diag(w[keep])
+            da, choi, ref, real = int(keep.sum()), lambda: choi_v, lambda: ref_v, _is_real(choi_v)
+
+    def bound(eps_list):
+        results = _ea_bound((da, db), choi, eps_list, cls, ref,
+                            sdp.hermitian_basis(da * db, real), n=n)
+        for res in results if embed is not None else []:
+            res.optimal_r = embed @ res.optimal_r @ embed.conj().T
+        return results
+
+    return _per_eps(eps, bound)
 
 
 def ea_bound_dual(channel: QuantumChannel, rho: DensityMatrix, eps: float) -> BoundResult:

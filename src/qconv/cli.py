@@ -269,7 +269,7 @@ def cmd_minentropy(args) -> int:
     if args.depol_d is None:
         if args.depol_p is not None:
             raise ValueError("--depol-p goes with --depol-d, not --channel")
-        res = bounds.ea_bound(load_channel(args.channel), None, eps, TestClass.ALL, n)
+        res = bounds.ea_bound_opt_rho(load_channel(args.channel), eps, TestClass.ALL, n)
     else:
         res = bounds.depolarising_exact(args.depol_d, args.depol_p or 0.0, n, eps)
     print(fmt(bounds.noisy_storage_minentropy(args.rate, res)))

@@ -24,10 +24,6 @@ is real, so a basis can also give its real sub-basis, whose span is the real
 symmetric operators it holds (de Klerk, Pasechnik & Schrijver, Math.
 Program. 2007).
 
-A problem has one dtype: complex, or float64 when every coefficient is real
-symmetric. Its coefficients are stored, and solved, in that dtype, so a
-real program runs its solve in real arithmetic.
-
 A block may be declared with a ``Frame``: an orthonormal basis of its space
 in which every coefficient on the block, and its objective, is
 block-diagonal. The same symmetry that restricts the unknowns forces this
@@ -41,11 +37,6 @@ itself, like every other inequality, so the blocks and rows a problem
 holds are the ones the solver solves. The solver stacks the sub-blocks of
 each size, 1x1 blocks and 1x1 sub-blocks alike, and holds every row's
 coefficients on a stack as one dense matrix.
-
-A problem counts, as its rows are declared, the coefficient bytes it will
-hold during a solve (16 per complex entry, 8 per real one), and rejects
-rows that would take the program over MAX_PROGRAM_BYTES before building
-any of their coefficients.
 """
 
 from __future__ import annotations
@@ -293,22 +284,11 @@ class Basis:
     def __iter__(self):
         return iter(self._elements())
 
-    def operator(self, coords: np.ndarray) -> np.ndarray:
-        """The Hermitian operator with coordinates ``coords`` in this basis."""
-        return sum(c * h for c, h in zip(coords, self))
-
 
 def diagonal_basis(d: int) -> Basis:
     """The real diagonal d x d matrices: the span fixed by conjugation with
     every diagonal unitary. Its elements are real."""
-
-    def elements():
-        for i in range(d):
-            e = np.zeros((d, d))
-            e[i, i] = 1.0
-            yield e
-
-    return Basis(d, elements, diagonal_frame(d), float)
+    return Basis(d, lambda: (np.diag(e) for e in np.eye(d)), diagonal_frame(d), float)
 
 
 def _use_orbits(dims: tuple[int, ...], n: int) -> np.ndarray:
@@ -479,8 +459,11 @@ def hermitian_basis(d: int, real: bool = False) -> Basis:
 
 @dataclass
 class SdpSolution:
+    """A solve's final iterate: each declared block's primal X_k and dual slack
+    S_k = C_k - sum_i y_i A_ik, ``block_dims[k]`` square, at the program's scale."""
+
     primal_blocks: list[np.ndarray]
-    dual_multipliers: np.ndarray
+    dual_blocks: list[np.ndarray]
     primal_objective: float
     dual_objective: float
     status: str

@@ -51,7 +51,8 @@ one of two ways: its steps collapse ("stalled") or it runs out of
 MAX_ITER steps ("iteration-limit").
 
 Every produced iterate is re-symmetrized, so Hermiticity is maintained to
-roundoff. The solve is deterministic for identical input data.
+roundoff, and the solve is deterministic for identical input data. It returns
+each block's X_k and dual slack S_k, off which LMI-form programs read; not y.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     "optimal", with the objectives and residuals of its one evaluation.
     ``iterations`` is k when the k-th evaluation meets the tolerances or
     the k-th step collapses, and MAX_ITER when the steps run out. Every
-    declared block is returned full size, reassembled from its sub-blocks.
+    declared block's X_k and S_k are returned full size, from the sub-blocks.
     """
     sf = _StandardForm(problem)
     m = sf.m
@@ -299,7 +300,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     y = np.zeros(m)
 
     status = "iteration-limit"
-    last_contract = None  # (X, S, y, pobj, dobj, residuals) of the last contract iterate
+    last_contract = None  # (X, S, pobj, dobj, residuals) of the last contract iterate
     for it in range(1, MAX_ITER + 2):
         pobj, dobj, rp, Rd, residuals = _residuals(sf, X, S, y, b_scale, c_scale)
         if max(residuals["primal"], residuals["dual"]) <= TOL_FEAS \
@@ -307,7 +308,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "optimal"
             break
         if _meets_contract(residuals):
-            last_contract = X, S, y, pobj, dobj, residuals
+            last_contract = X, S, pobj, dobj, residuals
         if it > MAX_ITER:
             break
         mu = _inner(X, S) / n_total
@@ -364,11 +365,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
     if status != "optimal" and last_contract is not None:
         # late iterates can drift off the contract once the Schur matrix is
         # near singular
-        X, S, y, pobj, dobj, residuals = last_contract
+        X, S, pobj, dobj, residuals = last_contract
         status = "optimal"
     return SdpSolution(
         primal_blocks=sf.problem_blocks(X),
-        dual_multipliers=obj_scale * y,
+        dual_blocks=[obj_scale * b for b in sf.problem_blocks(S)],
         primal_objective=obj_scale * pobj,
         dual_objective=obj_scale * dobj,
         status=status,

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (PAULI_KRAUS, rand_channel, rand_classical_channel, rand_povm,
-                      rand_real_channel, rand_state, sixty_four_kraus_depol)
+from conftest import (PAULI_KRAUS, rand_channel, rand_classical_channel, rand_povm, rand_pure,
+                      rand_real_channel, rand_state, rand_unitary, sixty_four_kraus_depol)
 from oracles import classical_converse_bits, identity_opt_input_bound
 from qconv import bounds, cli, linalg, quantum, sdp
 from qconv.bounds import (TestClass, binary_entropy, binary_relative_entropy,
@@ -30,6 +30,10 @@ DEPOL = depolarising_channel(2, 0.15)
 # converse value as DEPOL's
 PHASE_DEPOL = quantum.QuantumChannel([np.diag([1.0, 1j]) @ k for k in PAULI_KRAUS])
 MU2 = maximally_mixed(2)
+# amplitude damping, gamma = 0.6: not covariant, so its optimal input is not
+# the maximally mixed one
+AMP_DAMP = quantum.QuantumChannel([np.array([[1.0, 0.0], [0.0, np.sqrt(0.4)]]),
+                                   np.array([[0.0, np.sqrt(0.6)], [0.0, 0.0]])])
 BINOMIAL_BITS_005 = 0.5849625007211562  # -log2(2/3)
 
 
@@ -377,6 +381,49 @@ class TestProgramLimits:
             ea_bound(DEPOL, MU2, 0.05, n=0)
 
 
+class TestRankDeficientInput:
+    # a pure input's converse is -log2(1 - eps) for any channel: R = |psi><psi| ⊗ B
+    # with 0 <= B <= I, and Tr(E(psi) B) >= 1 - eps forces lambda_max(B) >= 1 - eps
+    @pytest.mark.parametrize("cls", list(TestClass))
+    @pytest.mark.parametrize("case", ["depol-0", "random-2-3", "depol-two-uses"])
+    def test_pure_input_is_exact(self, cls, case):
+        rng = np.random.default_rng(1729)
+        if case == "depol-0":
+            chan, rho, n = DEPOL, DensityMatrix(np.diag([1.0, 0.0])), 1
+        elif case == "random-2-3":
+            chan, rho, n = rand_channel(rng, 2, 3), rand_pure(rng, 2), 1
+        else:
+            chan, rho, n = DEPOL, rand_pure(rng, 4), 2
+        for eps, res in zip([0.01, 0.1], ea_bound(chan, rho, [0.01, 0.1], cls, n)):
+            assert res.bits == pytest.approx(-np.log2(1 - eps), abs=1e-7)
+            # R is returned on the whole space, inside 0 <= R <= rho_ref ⊗ I
+            r = res.optimal_r
+            assert r.shape == (rho.dim * chan.dim_out**n,) * 2
+            cap = np.kron(rho.mat.T, np.eye(chan.dim_out**n)) - r
+            assert np.linalg.eigvalsh(r).min() >= -1e-7
+            assert np.linalg.eigvalsh(cap).min() >= -1e-7
+
+    @pytest.mark.parametrize("cls", list(TestClass))
+    def test_rank_two_input_is_the_channel_on_its_support(self, cls):
+        # rho = U diag(w) U† for an isometry U: C^2 -> C^3 is the input diag(w)
+        # of the channel E∘U, whose Choi matrix is built here entry by entry
+        rng = np.random.default_rng(1013)
+        chan = rand_channel(rng, 3, 2)
+        u = rand_unitary(rng, 3)[:, :2]
+        w = np.array([0.7, 0.3])
+        rho = DensityMatrix(linalg.hermitian_part((u * w) @ u.conj().T))
+        choi = np.zeros((4, 4), dtype=complex)
+        for j in range(2):
+            for k in range(2):
+                choi[2 * j:2 * j + 2, 2 * k:2 * k + 2] = chan.apply_mat(
+                    np.outer(u[:, j], u[:, k].conj()))
+        on_support = quantum.channel_from_choi(choi, 2, 2)
+        for eps in (0.01, 0.1):
+            res = ea_bound(chan, rho, eps, cls)
+            by_hand = ea_bound(on_support, DensityMatrix(np.diag(w)), eps, cls)
+            assert res.bits == pytest.approx(by_hand.bits, abs=1e-9)
+
+
 class TestEaBoundDual:
     def test_strictly_feasible_interior_point_exists(self, rng):
         # the canonical interior start: G = I/(2 d_B), F = a I, any mu > 0
@@ -434,6 +481,37 @@ class TestEaBoundOptRho:
     def test_constant_channel_any_input(self, rng):
         res = ea_bound_opt_rho(_constant(rng), 0.3, TestClass.ALL)
         assert res.bits == pytest.approx(-np.log2(1 - 0.3), abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cls", list(TestClass))
+    @pytest.mark.parametrize("channel", ["depol", "amplitude-damping", "random"])
+    def test_optimal_pair_is_feasible(self, channel, cls, n):
+        # optimal_rho is a state and optimal_r satisfies the cap R <= rho_ref ⊗ I
+        # at the normalised rho_ref = optimal_rhoᵀ
+        chan = {"depol": DEPOL, "amplitude-damping": AMP_DAMP,
+                "random": rand_channel(np.random.default_rng(5), 2, 2)}[channel]
+        res = ea_bound_opt_rho(chan, 0.05, cls, n)
+        rho = res.optimal_rho
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(rho - rho.conj().T).max() == 0.0
+        assert np.linalg.eigvalsh(rho).min() >= -1e-9
+        cap = np.kron(rho.T, np.eye(chan.dim_out**n)) - res.optimal_r
+        assert np.linalg.eigvalsh(linalg.hermitian_part(cap)).min() >= -1e-7
+
+    @pytest.mark.parametrize("cls", list(TestClass))
+    @pytest.mark.parametrize("channel", ["random-0", "random-1", "random-2", "random-3",
+                                         "amplitude-damping"])
+    def test_optimised_input_bounds_the_maximally_mixed_one(self, channel, cls):
+        # the optimum over inputs is at least the value at any one input
+        if channel == "amplitude-damping":
+            chan = AMP_DAMP
+        else:
+            rng = np.random.default_rng(400 + int(channel[-1]))
+            chan = rand_channel(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        eps_list = [0.01, 0.1, 0.3]
+        for opt, fixed in zip(ea_bound_opt_rho(chan, eps_list, cls),
+                              ea_bound(chan, None, eps_list, cls)):
+            assert opt.bits >= fixed.bits - 1e-7
 
 
 class TestClassicalConverse:

@@ -366,6 +366,22 @@ class TestOtherCommands:
         value = float(capsys.readouterr().out.strip())
         assert value == pytest.approx(-np.log2(0.75), abs=1e-9)
 
+    @pytest.mark.parametrize("rate,printed", [("0.62", "0"), ("0.64", "1.44995696951e-02")])
+    def test_minentropy_channel_is_bounded_at_the_optimised_input(self, tmp_path, capsys,
+                                                                  rate, printed):
+        # amplitude damping, gamma = 0.6, is not covariant: at n = 2 and eps 0.01
+        # the maximally mixed input gives 0.615141 bits and the optimised one
+        # 0.632996, so 0.62 bits are not excluded and earn no guarantee
+        gamma = 0.6
+        kraus = [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]]),
+                 np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])]
+        chan = tmp_path / "ad.json"
+        chan.write_text(json.dumps({"dimIn": 2, "dimOut": 2, "representation": "kraus",
+                                    "data": [_mat_to_pairs(k) for k in kraus]}))
+        assert cli.main(["minentropy", "--channel", str(chan), "--eps", "0.01", "--n", "2",
+                         "--rate", rate]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
@@ -415,8 +431,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["bound", "--eps", "0.05", "--n", "4"],
-        ["bound", "--eps", "0.05", "--n", "4", "--class", "ppt"],
-        ["minentropy", "--eps", "0.25", "--n", "4", "--rate", "30"]])
+        ["bound", "--eps", "0.05", "--n", "4", "--class", "ppt"]])
     def test_four_fixed_input_uses_are_2_before_the_channel(self, tmp_path, monkeypatch,
                                                             command):
         def unbuilt(*args):
@@ -425,6 +440,19 @@ class TestExitCodes:
         chan = _write_depol_choi(tmp_path / "depol.json")
         monkeypatch.setattr(quantum, "tensor_power", unbuilt)
         assert cli.main([*command, "--channel", str(chan)]) == 2
+
+    def test_five_optimised_minentropy_uses_are_2_before_the_channel(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # minentropy bounds a channel file at the optimised input, whose real
+        # five-use program needs 13.9 GiB; four uses (0.53 GiB) are admitted
+        def unbuilt(*args):
+            raise AssertionError("tensor_power ran for a rejected program")
+
+        chan = _write_depol_choi(tmp_path / "depol.json")
+        monkeypatch.setattr(quantum, "tensor_power", unbuilt)
+        assert cli.main(["minentropy", "--channel", str(chan), "--eps", "0.25", "--n", "5",
+                         "--rate", "30"]) == 2
+        assert "GiB of constraint coefficients" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rep,data", [
         ("kraus", 5), ("choi", [1.0, 0.0, 0.0, 1.0]),

@@ -167,6 +167,22 @@ class TestSolverContracts:
         for x in sol.primal_blocks:
             assert np.abs(x - x.conj().T).max() <= 1e-12 * (1 + np.abs(x).max())
 
+    @pytest.mark.parametrize("program", ["random", "optimised", "fixed", "classical"])
+    def test_dual_blocks_are_full_size_and_psd(self, rng, program):
+        # every declared block's dual slack comes back whole, framed blocks
+        # reassembled from their sub-blocks, and inside the cone
+        prob = {"random": lambda: _random_strictly_feasible(rng, [4, 3, 1], 5),
+                "optimised": _depol_ppt_program,
+                "fixed": lambda: _depol_fixed_program(0.05),
+                "classical": _classical_program}[program]()
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert len(sol.dual_blocks) == len(prob.block_dims)
+        for s, d in zip(sol.dual_blocks, prob.block_dims):
+            assert s.shape == (d, d)
+            w = np.linalg.eigvalsh(linalg.hermitian_part(s))
+            assert w.min() >= -1e-9 * max(1.0, float(np.abs(w).max()))
+
     def test_objective_scale_invariance(self, rng):
         # the stored coefficients are packed in each block's frame, and the
         # stored rows re-declare verbatim into a problem with the same blocks
@@ -190,6 +206,8 @@ class TestSolverContracts:
         assert sol1.iterations == sol2.iterations
         for x1, x2 in zip(sol1.primal_blocks, sol2.primal_blocks):
             assert np.array_equal(x1, x2)
+        for s1, s2 in zip(sol1.dual_blocks, sol2.dual_blocks, strict=True):
+            assert np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("program", ["optimised", "fixed"])
     def test_solve_leaves_its_problem_alone(self, program):
@@ -204,7 +222,8 @@ class TestSolverContracts:
         objective = {k: c.copy() for k, c in prob.objective.items()}
 
         def same(sol1, sol2):
-            assert np.array_equal(sol1.dual_multipliers, sol2.dual_multipliers)
+            assert all(np.array_equal(s1, s2)
+                       for s1, s2 in zip(sol1.dual_blocks, sol2.dual_blocks, strict=True))
             assert sol1.primal_objective == sol2.primal_objective
             assert sol1.dual_objective == sol2.dual_objective
             assert sol1.iterations == sol2.iterations
@@ -329,7 +348,7 @@ class TestBases:
         avg = sum(_permute_uses(x, dims, n, p) for p in itertools.permutations(range(n))) / 2
         basis = invariant_basis(dims, n)
         coords = [np.real(np.sum(h.conj() * avg)) for h in basis]
-        assert_allclose(basis.operator(coords), avg, atol=1e-12)
+        assert_allclose(sum(c * h for c, h in zip(coords, basis)), avg, atol=1e-12)
 
     def test_diagonal_basis(self):
         basis = diagonal_basis(5)
@@ -765,7 +784,8 @@ def _same_solution(sol1, sol2):
     assert sol1.iterations == sol2.iterations
     assert sol1.primal_objective == sol2.primal_objective
     assert sol1.dual_objective == sol2.dual_objective
-    assert np.array_equal(sol1.dual_multipliers, sol2.dual_multipliers)
+    assert all(np.array_equal(s1, s2)
+               for s1, s2 in zip(sol1.dual_blocks, sol2.dual_blocks, strict=True))
     assert len(sol1.primal_blocks) == len(sol2.primal_blocks)
     assert all(np.array_equal(x1, x2) for x1, x2 in zip(sol1.primal_blocks, sol2.primal_blocks))
 
